@@ -30,6 +30,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 
@@ -66,36 +67,73 @@ def _timing_summary(label: str, timing: dict, unit: str) -> str:
             f"jobs={timing['jobs']}, {timing['mode']})")
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    import json
+def _write_json(document: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
-    from repro.parallel.fabric import run_paired_campaign_fabric
 
-    baseline, guillotine, timing = run_paired_campaign_fabric(
-        seed=args.seed, jobs=args.jobs)
+def _emit(args: argparse.Namespace, report: dict, timing: dict, unit: str,
+          ledger_row=None) -> None:
+    """The shared tail of every workload command.
+
+    ``--json`` prints the report on stdout and sends every note (timing,
+    file writes, ledger) to stderr, so stdout stays byte-comparable across
+    ``--jobs`` counts and reruns.  ``--out`` writes the report;
+    ``--ledger PATH`` appends the summary row ``ledger_row`` makes of it.
+    The wall-clock timing line is never part of the report."""
+    notes = sys.stderr if args.json else sys.stdout
     if args.json:
-        payload = {
-            "schema": CAMPAIGN_SCHEMA,
-            "seed": args.seed,
-            "baseline": baseline.to_dict(),
-            "guillotine": guillotine.to_dict(),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        # Timing stays out of the deterministic payload; stderr keeps
-        # stdout parseable as pure JSON.
-        print(_timing_summary("campaign", timing, "attacks"),
-              file=sys.stderr)
-        return 0 if guillotine.containment_rate == 1.0 else 1
-    width = 34
-    print(f"{'adversary':<{width}}{'traditional':<13}{'guillotine':<13}")
-    for b, g in zip(baseline.results, guillotine.results):
-        print(f"{b.adversary:<{width}}"
-              f"{'ESCAPED' if b.succeeded else 'contained':<13}"
-              f"{'ESCAPED' if g.succeeded else 'contained':<13}")
-    print(f"{'containment':<{width}}"
-          f"{baseline.containment_rate:<13.0%}"
-          f"{guillotine.containment_rate:<13.0%}")
-    print(_timing_summary("campaign", timing, "attacks"))
+        print(json.dumps(report, indent=2, sort_keys=True))
+    print(_timing_summary(args.command, timing, unit), file=notes)
+    if args.out:
+        _write_json(report, args.out)
+        print(f"wrote {args.out}", file=notes)
+    if args.ledger:
+        entry = ledger_row(report, args.ledger)
+        print(f"ledger: appended {entry['git_rev']} ({entry['kind']}) "
+              f"to {args.ledger}", file=notes)
+
+
+def _nonpositive(args: argparse.Namespace, *flags: str) -> bool:
+    """Report the first of ``flags`` set below 1 (unset ones pass)."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < 1:
+            print(f"error: {flag} must be positive, got {value}",
+                  file=sys.stderr)
+            return True
+    return False
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.core.scenarios import campaign_roster, report_from_results
+    from repro.parallel import Task, run_tasks
+
+    roster = len(campaign_roster(args.seed))
+    tasks = [Task("repro.core.scenarios:run_one_attack",
+                  (platform, index, args.seed))
+             for platform in ("baseline", "guillotine")
+             for index in range(roster)]
+    results, timing = run_tasks(tasks, args.jobs)
+    baseline = report_from_results("baseline", results[:roster])
+    guillotine = report_from_results("guillotine", results[roster:])
+    if not args.json:
+        width = 34
+        print(f"{'adversary':<{width}}{'traditional':<13}{'guillotine':<13}")
+        for b, g in zip(baseline.results, guillotine.results):
+            print(f"{b.adversary:<{width}}"
+                  f"{'ESCAPED' if b.succeeded else 'contained':<13}"
+                  f"{'ESCAPED' if g.succeeded else 'contained':<13}")
+        print(f"{'containment':<{width}}"
+              f"{baseline.containment_rate:<13.0%}"
+              f"{guillotine.containment_rate:<13.0%}")
+    payload = {
+        "schema": CAMPAIGN_SCHEMA,
+        "seed": args.seed,
+        "baseline": baseline.to_dict(),
+        "guillotine": guillotine.to_dict(),
+    }
+    _emit(args, payload, timing, "attacks")
     return 0 if guillotine.containment_rate == 1.0 else 1
 
 
@@ -171,7 +209,6 @@ def _cmd_analyze_corpus(args: argparse.Namespace) -> int:
     produces its recorded flows is a regression.  Either way the exit code
     is nonzero — this is the CI analyze-smoke gate.
     """
-    import json
     import os
 
     from repro.analysis import analyze_program
@@ -201,7 +238,7 @@ def _cmd_analyze_corpus(args: argparse.Namespace) -> int:
                 int(text, 16)
                 for text in artifact["program"]["words_hex"]
             )
-        except (OSError, ValueError, KeyError) as exc:
+        except ValueError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         label = artifact.get("name", name)
@@ -210,7 +247,7 @@ def _cmd_analyze_corpus(args: argparse.Namespace) -> int:
         )
         expected = sorted(
             token[len(prefix):]
-            for token in artifact.get("expected", {}).get("coverage", [])
+            for token in artifact["expected"].get("coverage", [])
             if token.startswith(prefix)
         )
         actual = sorted({f.detail["kind"] for f in report.flows})
@@ -264,8 +301,6 @@ def _cmd_analyze_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    import json
-
     if args.corpus_dir is not None:
         return _cmd_analyze_corpus(args)
 
@@ -348,9 +383,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_parallel(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.parallel.sweep import DEFAULT_SEED, scaling_sweep
+    from repro.parallel.sweep import DEFAULT_OUTPUT, DEFAULT_SEED, scaling_sweep
 
     campaigns = 8 if args.quick else 16
     doc = scaling_sweep(seed=DEFAULT_SEED, campaigns=campaigns)
@@ -369,9 +402,8 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
           f"{totals['best_campaigns_per_second']:.1f} campaigns/s "
           f"(max speedup {totals['max_speedup']:.2f}x)")
 
-    out = args.out or "BENCH_parallel.json"
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    out = args.out or DEFAULT_OUTPUT
+    _write_json(doc, out)
     print(f"wrote {out}")
 
     if not totals["all_merges_deterministic"]:
@@ -382,25 +414,47 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.core.bench import suite_report, write_report
-    from repro.parallel.fabric import run_batch_bench_fabric, run_bench_fabric
+    from repro.core import bench
+    from repro.core.ledger import append_entry
+    from repro.parallel import Task, run_tasks
 
     if args.parallel:
         return _cmd_bench_parallel(args)
+    if args.batch < 0:
+        print("error: --batch must be a positive lane count", file=sys.stderr)
+        return 2
+    args.out = args.out or bench.DEFAULT_OUTPUT
 
+    # Each suite row is a fast leg and a reference leg; each batch row a
+    # scalar leg and a lockstep leg.  Legs pair up in task order.
     traces = args.traces != "off"
-    results, timing = run_bench_fabric(quick=args.quick, jobs=args.jobs,
-                                       traces=traces)
-    batch_results = None
+    tasks = [Task("repro.core.bench:run_one",
+                  (index, row[4] if args.quick else row[3], mode, traces))
+             for index, row in enumerate(bench.SUITE)
+             for mode in ("fast", "slow")]
     if args.batch:
-        if args.batch < 1:
-            print("error: --batch must be a positive lane count",
-                  file=sys.stderr)
-            return 2
-        batch_results, batch_timing = run_batch_bench_fabric(
-            args.batch, quick=args.quick, jobs=args.jobs)
-    report = suite_report(results, quick=args.quick, traces=traces,
-                          batch_results=batch_results, batch=args.batch or 0)
+        steps = bench.BATCH_QUICK_STEPS if args.quick else bench.BATCH_STEPS
+        tasks += [Task("repro.core.bench:run_batch_one",
+                       (index, args.batch, steps, mode))
+                  for index in range(len(bench.BATCH_SUITE))
+                  for mode in ("scalar", "batch")]
+    legs, timing = run_tasks(tasks, args.jobs, units=len(tasks) // 2)
+    suite_legs = legs[:2 * len(bench.SUITE)]
+    batch_legs = legs[2 * len(bench.SUITE):]
+    results = [
+        bench.combine_samples(
+            fast["name"], fast["machine"],
+            *(bench.RunSample(**sample)
+              for sample in fast["samples"] + slow["samples"]))
+        for fast, slow in zip(suite_legs[::2], suite_legs[1::2])
+    ]
+    batch_results = [
+        bench.combine_batch_samples(scalar, lockstep)
+        for scalar, lockstep in zip(batch_legs[::2], batch_legs[1::2])
+    ]
+    report = bench.suite_report(results, quick=args.quick, traces=traces,
+                                batch_results=batch_results,
+                                batch=args.batch)
 
     print(f"{'benchmark':<16}{'machine':<12}{'steps/s':>12}{'cycles/s':>14}"
           f"{'speedup':>9}  {'checks'}")
@@ -419,7 +473,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           f"{totals['cycles_per_second']:>14,.0f}"
           f"{totals['speedup']:>8.2f}x")
 
-    if batch_results is not None:
+    if batch_results:
         print(f"\nlockstep batch suite (batch={args.batch}):")
         print(f"{'row':<24}{'guest-steps/s':>15}{'scalar/s':>12}"
               f"{'speedup':>9}  {'gate'}")
@@ -436,21 +490,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"{batch_totals['guest_steps_per_second']:>15,.0f}"
               f"{batch_totals['scalar_guest_steps_per_second']:>12,.0f}"
               f"{batch_totals['aggregate_speedup']:>8.2f}x")
-        if batch_timing["jobs"] > 1:
-            print(_timing_summary("batch bench", batch_timing, "rows"))
 
-    out = args.out or "BENCH_hw.json"
-    write_report(report, out)
-    print(f"wrote {out}")
-    if not args.no_ledger:
-        from repro.core.ledger import append_entry
-
-        entry = append_entry(report, args.ledger)
-        print(f"ledger: appended {entry['git_rev']} "
-              f"(speedup {entry['speedup']:.2f}x, traces "
-              f"{'on' if entry['traces'] else 'off'}) to {args.ledger}")
-    if timing["jobs"] > 1:
-        print(_timing_summary("bench", timing, "rows"))
+    _emit(args, report, timing, "rows", ledger_row=append_entry)
     if not totals["all_deterministic"]:
         print("error: nondeterministic cycle counts across identical runs",
               file=sys.stderr)
@@ -459,8 +500,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: fast path diverged from the reference interpreter",
               file=sys.stderr)
         return 1
-    if (batch_results is not None
-            and not report["batch"]["totals"]["all_bit_identical"]):
+    if batch_results and not report["batch"]["totals"]["all_bit_identical"]:
         print("error: lockstep batch execution diverged from scalar "
               "execution", file=sys.stderr)
         return 1
@@ -468,10 +508,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_ledger(args: argparse.Namespace) -> int:
+    from repro.artifacts import ArtifactError
     from repro.core.ledger import check_regression, load_ledger
 
-    document = load_ledger(args.path)
-    entries = document["entries"]
+    try:
+        entries = load_ledger(args.path)["entries"]
+    except ArtifactError as exc:
+        print(f"error: {args.path}: {exc}", file=sys.stderr)
+        return 2
     if not entries:
         print(f"{args.path}: empty ledger")
         return 0
@@ -526,12 +570,17 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
+    from repro.faults.chaos import assemble_report
+    from repro.parallel import Task, run_tasks
+    from repro.seeding import derive_seeds
 
-    from repro.parallel.fabric import run_chaos_fabric
-
-    report, timing = run_chaos_fabric(args.seed, args.campaigns,
-                                      jobs=args.jobs)
+    if _nonpositive(args, "--campaigns"):
+        return 2
+    tasks = [Task("repro.faults.chaos:run_campaign", (campaign_seed, index))
+             for index, campaign_seed
+             in enumerate(derive_seeds(args.seed, args.campaigns))]
+    runs, timing = run_tasks(tasks, args.jobs)
+    report = assemble_report(args.seed, args.campaigns, runs)
 
     print(f"{'campaign':<10}{'faults':<8}{'classes':<9}{'isolation':<14}"
           f"{'drill':<24}{'invariants'}")
@@ -545,15 +594,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     totals = report["totals"]
     print(f"fault classes exercised: "
           f"{', '.join(totals['fault_classes'])}")
-
-    # The JSON payload is deterministic and timing-free; wall-clock
-    # numbers live only in this summary line (and BENCH_parallel.json).
-    print(_timing_summary("chaos", timing, "campaigns"))
-
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-    print(f"wrote {args.out}")
+    _emit(args, report, timing, "campaigns")
 
     if not totals["all_passed"]:
         for failure in totals["invariant_failures"]:
@@ -564,12 +605,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json
+    from repro.fleet.campaign import assemble_report
+    from repro.parallel import Task, run_tasks
+    from repro.seeding import derive_seeds
 
-    from repro.parallel.fabric import run_fleet_fabric
-
-    report, timing = run_fleet_fabric(args.seed, args.campaigns,
-                                      args.machines, jobs=args.jobs)
+    if _nonpositive(args, "--campaigns", "--machines"):
+        return 2
+    tasks = [Task("repro.fleet.campaign:run_fleet_campaign",
+                  (campaign_seed, index, args.machines))
+             for index, campaign_seed
+             in enumerate(derive_seeds(args.seed, args.campaigns))]
+    runs, timing = run_tasks(tasks, args.jobs)
+    report = assemble_report(args.seed, args.machines, args.campaigns, runs)
 
     print(f"{'campaign':<10}{'faults':<8}{'classes':<9}{'migration':<12}"
           f"{'kill':<22}{'invariants'}")
@@ -592,15 +639,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
           f"{', '.join(report['fault_classes_fired'])}")
     print(f"migrations completed: {report['migrations_completed']}; "
           f"member kills: {report['kills_total']}")
-
-    # The JSON payload is deterministic and timing-free; wall-clock
-    # numbers live only in this summary line.
-    print(_timing_summary("fleet", timing, "campaigns"))
-
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-    print(f"wrote {args.out}")
+    _emit(args, report, timing, "campaigns")
 
     if not report["all_passed"]:
         for failure in report["invariant_failures"]:
@@ -614,15 +653,25 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    import json
     import os
 
-    from repro.parallel.fabric import run_fuzz_fabric
+    from repro.fuzz.campaign import DEFAULT_BATCH_SIZE, assemble_fuzz_report
+    from repro.fuzz.oracles import DEFAULT_MAX_STEPS
+    from repro.parallel import Task, run_tasks
+    from repro.seeding import derive_seeds, split_sizes
 
-    report, timing = run_fuzz_fabric(
-        args.seed, args.count, jobs=args.jobs,
-        batch_size=args.batch_size, max_steps=args.max_steps,
-    )
+    if _nonpositive(args, "--count", "--batch-size", "--max-steps"):
+        return 2
+    batch_size = args.batch_size or DEFAULT_BATCH_SIZE
+    max_steps = args.max_steps or DEFAULT_MAX_STEPS
+    sizes = split_sizes(args.count, batch_size)
+    tasks = [Task("repro.fuzz.campaign:run_one_batch",
+                  (batch_seed, index, size, max_steps))
+             for index, (batch_seed, size)
+             in enumerate(zip(derive_seeds(args.seed, len(sizes)), sizes))]
+    runs, timing = run_tasks(tasks, args.jobs, units=args.count)
+    report = assemble_fuzz_report(args.seed, args.count, batch_size,
+                                  max_steps, runs)
 
     print(f"{'batch':<7}{'programs':<10}{'admitted':<10}{'rejected':<10}"
           f"{'coverage':<10}{'verdict'}")
@@ -638,25 +687,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     print(f"coverage: {totals['coverage_tokens']} tokens; "
           f"cross-machine compared {totals['cross_compared']}, "
           f"containment asymmetries {totals['containment_asymmetries']}")
-    print(_timing_summary("fuzz", timing, "programs"))
+    _emit(args, report, timing, "programs")
 
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-    print(f"wrote {args.out}")
-
-    if report["totals"]["divergences"]:
+    if totals["divergences"]:
         os.makedirs(args.artifacts, exist_ok=True)
-        for entry in report["totals"]["divergence_index"]:
+        for entry in totals["divergence_index"]:
             artifact = next(
                 art for run in report["runs"]
                 for art in run["divergences"]
                 if art["name"] == entry["name"]
             )
             path = os.path.join(args.artifacts, f"{entry['name']}.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(artifact, indent=2, sort_keys=True)
-                             + "\n")
+            _write_json(artifact, path)
             print(f"error: oracle(s) {','.join(entry['oracles'])} violated "
                   f"-> {path}", file=sys.stderr)
         return 1
@@ -664,7 +706,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    import json
     import os
 
     from repro.fuzz.replay import load_artifact, replay_artifact
@@ -687,9 +728,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     failed = 0
     for path in paths:
         try:
-            artifact = load_artifact(path)
-            result = replay_artifact(artifact)
-        except (OSError, ValueError, KeyError) as exc:
+            result = replay_artifact(load_artifact(path))
+        except (ValueError, KeyError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         results.append((path, result))
@@ -720,23 +760,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
+    from repro.core.ledger import append_serve_entry
+    from repro.parallel import Task, run_tasks
+    from repro.seeding import derive_seeds, split_sizes
+    from repro.serve.load import assemble_serve_report
+    from repro.serve.service import ServiceConfig
 
-    from repro.parallel.fabric import run_serve_fabric
-
-    for name, value in (("--load", args.load), ("--machines", args.machines),
-                        ("--cell-size", args.cell_size),
-                        ("--queue-cap", args.queue_cap),
-                        ("--budget", args.budget)):
-        if value < 1:
-            print(f"error: {name} must be positive, got {value}",
-                  file=sys.stderr)
-            return 2
-
-    report, timing = run_serve_fabric(
-        args.seed, args.load, jobs=args.jobs, cell_size=args.cell_size,
-        machines=args.machines, queue_cap=args.queue_cap,
-        budget=args.budget, engine=args.engine)
+    if _nonpositive(args, "--load", "--machines", "--cell-size",
+                    "--queue-cap", "--budget"):
+        return 2
+    config = ServiceConfig(machines=args.machines, queue_cap=args.queue_cap,
+                           budget_cycles=args.budget, engine=args.engine)
+    sizes = split_sizes(args.load, args.cell_size)
+    tasks = [Task("repro.serve.service:run_cell",
+                  (cell_seed, index, size, config))
+             for index, (cell_seed, size)
+             in enumerate(zip(derive_seeds(args.seed, len(sizes)), sizes))]
+    cells, timing = run_tasks(tasks, args.jobs, units=args.load)
+    report = assemble_serve_report(args.seed, args.load, args.cell_size,
+                                   config, cells)
 
     problems = []
     if report["requests"] != args.load:
@@ -752,12 +794,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for v in report["isolation"]["violations"])
         problems.append(f"tenant isolation violated: {leaks}")
 
-    if args.json:
-        # The payload is deterministic; timing goes to stderr so stdout
-        # stays byte-comparable across --jobs counts and reruns.
-        print(json.dumps(report, indent=2, sort_keys=True))
-        print(_timing_summary("serve", timing, "requests"), file=sys.stderr)
-    else:
+    if not args.json:
         outcomes = report["outcomes"]
         print(f"{'outcome':<24}{'count':>7}")
         for outcome, count in sorted(outcomes.items()):
@@ -783,26 +820,54 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         isolation = report["isolation"]
         print(f"isolation: {isolation['checks']} checks, "
               f"{len(isolation['violations'])} violation(s)")
-        print(_timing_summary("serve", timing, "requests"))
-
-    if args.out:
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        print(f"wrote {args.out}", file=sys.stderr if args.json else sys.stdout)
-    if not args.no_ledger:
-        from repro.core.ledger import append_serve_entry
-
-        entry = append_serve_entry(report, args.ledger)
-        print(f"ledger: appended {entry['git_rev']} "
-              f"({entry['throughput_rpmc']:.1f} rpmc, "
-              f"isolation {'ok' if entry['all_isolated'] else 'LEAKED'}) "
-              f"to {args.ledger}",
-              file=sys.stderr if args.json else sys.stdout)
+    _emit(args, report, timing, "requests", ledger_row=append_serve_entry)
 
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
     return 1 if problems else 0
+
+
+#: Default of a shared flag a command does not take (``None`` is a real
+#: default: ``campaign --seed`` unset runs the standard roster order).
+_ABSENT = object()
+
+
+def _workload(subparsers, name: str, help: str, *, jobs: int = 0,
+              seed=_ABSENT, out=_ABSENT, json_flag: bool = False,
+              ledger: bool = False) -> argparse.ArgumentParser:
+    """A workload command with the shared flags it takes, declared once.
+
+    Every workload takes ``--jobs``; ``--seed`` and ``--out`` exist when
+    given a default, ``--json`` and ``--ledger`` when asked for.  A flag a
+    command does not take still gets a namespace default, so
+    :func:`_emit` can read ``args.out``, ``args.json`` and ``args.ledger``
+    on every workload."""
+    parser = subparsers.add_parser(name, help=help)
+    # Parser-level defaults first: the argument defaults below win.
+    parser.set_defaults(out=None, json=False, ledger=None)
+    if seed is not _ABSENT:
+        parser.add_argument(
+            "--seed", type=int, default=seed,
+            help=f"master seed for a reproducible run (default {seed})")
+    parser.add_argument(
+        "--jobs", type=int, default=jobs,
+        help=f"worker processes (0 = auto-detect cores, 1 = sequential; "
+             f"default {jobs})")
+    if out is not _ABSENT:
+        parser.add_argument(
+            "--out", default=out,
+            help="write the JSON report to this path"
+                 + (f" (default {out})" if out else ""))
+    if json_flag:
+        parser.add_argument(
+            "--json", action="store_true",
+            help="emit the JSON report on stdout; notes go to stderr")
+    if ledger:
+        parser.add_argument(
+            "--ledger", default=None, metavar="PATH",
+            help="append this run's summary row to the performance ledger "
+                 "at PATH (default: no ledger write)")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -812,17 +877,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     subparsers.add_parser("demo", help="quickstart flow")
-    campaign_parser = subparsers.add_parser(
-        "campaign", help="E13 containment scoreboard")
-    campaign_parser.add_argument(
-        "--seed", type=int, default=None,
-        help="seed the adversary roster order (reproducible runs)")
-    campaign_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the repro.campaign/1 JSON document")
-    campaign_parser.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (0 = auto-detect cores, 1 = sequential)")
+    _workload(subparsers, "campaign", "E13 containment scoreboard",
+              seed=None, json_flag=True)
     subparsers.add_parser("sidechannel", help="E2 + A1 comparison")
     verify_parser = subparsers.add_parser(
         "verify", help="bounded model-checking of the isolation machine")
@@ -848,23 +904,19 @@ def main(argv: list[str] | None = None) -> int:
     analyze_parser.add_argument(
         "--json", action="store_true",
         help="emit the repro.analysis/2 JSON document")
-    bench_parser = subparsers.add_parser(
-        "bench", help="interpreter performance suite (fast vs reference)")
+    bench_parser = _workload(
+        subparsers, "bench",
+        "interpreter performance suite (fast vs reference); writes "
+        "BENCH_hw.json unless --out says otherwise",
+        jobs=1, out=None, ledger=True)
     bench_parser.add_argument(
         "--quick", action="store_true",
         help="smaller iteration counts (CI smoke mode)")
     bench_parser.add_argument(
-        "--out", default=None,
-        help="output path for the JSON report (default BENCH_hw.json; "
-             "BENCH_parallel.json with --parallel)")
-    bench_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the suite (default 1: sequential, for "
-             "wall-clock fidelity; 0 = auto-detect cores)")
-    bench_parser.add_argument(
         "--parallel", action="store_true",
         help="run the repro.parallel/1 scaling sweep (jobs in {1,2,4,cores} "
-             "over a chaos-campaign workload) instead of the suite")
+             "over a chaos-campaign workload) instead of the suite; "
+             "--out defaults to BENCH_parallel.json")
     bench_parser.add_argument(
         "--traces", choices=("on", "off"), default="on",
         help="superblock trace compilation for the fast runs (default on; "
@@ -875,12 +927,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also run the lockstep batch suite with N guest lanes per "
              "row (scalar vs repro.hw.batch, bit-compared lane by lane; "
              "0 = skip)")
-    bench_parser.add_argument(
-        "--ledger", default="BENCH_ledger.json",
-        help="performance ledger to append the summary row to")
-    bench_parser.add_argument(
-        "--no-ledger", action="store_true",
-        help="skip appending this run to the performance ledger")
     ledger_parser = subparsers.add_parser(
         "ledger", help="inspect the committed performance ledger")
     ledger_parser.add_argument(
@@ -893,43 +939,28 @@ def main(argv: list[str] | None = None) -> int:
         "--check", action="store_true",
         help="fail if the newest entry regressed >10%% vs the previous "
              "same-configuration entry (the CI gate)")
-    chaos_parser = subparsers.add_parser(
-        "chaos", help="seeded fault-injection campaigns + invariant checks")
-    chaos_parser.add_argument(
-        "--seed", type=int, default=7,
-        help="master seed; derives every campaign's fault plan and roster")
+    chaos_parser = _workload(
+        subparsers, "chaos",
+        "seeded fault-injection campaigns + invariant checks",
+        seed=7, out="BENCH_chaos.json")
     chaos_parser.add_argument(
         "--campaigns", type=int, default=5,
         help="number of seeded campaigns to run")
-    chaos_parser.add_argument(
-        "--out", default="BENCH_chaos.json",
-        help="output path for the repro.chaos/1 JSON report")
-    chaos_parser.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (0 = auto-detect cores, 1 = sequential)")
-    fleet_parser = subparsers.add_parser(
-        "fleet", help="multi-machine fleet campaigns: migration, quorum "
-                      "kill, machine-level chaos")
-    fleet_parser.add_argument(
-        "--seed", type=int, default=7,
-        help="master seed; derives every campaign's fault plan")
+    fleet_parser = _workload(
+        subparsers, "fleet",
+        "multi-machine fleet campaigns: migration, quorum kill, "
+        "machine-level chaos",
+        seed=7, out="BENCH_fleet.json")
     fleet_parser.add_argument(
         "--campaigns", type=int, default=3,
         help="number of seeded fleet campaigns to run")
     fleet_parser.add_argument(
         "--machines", type=int, default=3,
         help="Guillotine machines per fleet (default 3)")
-    fleet_parser.add_argument(
-        "--out", default="BENCH_fleet.json",
-        help="output path for the repro.fleet/1 JSON report")
-    fleet_parser.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (0 = auto-detect cores, 1 = sequential)")
-    fuzz_parser = subparsers.add_parser(
-        "fuzz", help="coverage-guided differential fuzzing (six oracles)")
-    fuzz_parser.add_argument(
-        "--seed", type=int, default=42,
-        help="master seed; derives every batch's generator seed")
+    fuzz_parser = _workload(
+        subparsers, "fuzz",
+        "coverage-guided differential fuzzing (six oracles)",
+        seed=42, out="BENCH_fuzz.json")
     fuzz_parser.add_argument(
         "--count", type=int, default=200,
         help="total number of generated programs")
@@ -941,24 +972,16 @@ def main(argv: list[str] | None = None) -> int:
         "--max-steps", type=int, default=None,
         help="per-program execution budget in steps (default 600)")
     fuzz_parser.add_argument(
-        "--out", default="BENCH_fuzz.json",
-        help="output path for the repro.fuzz/1 JSON report")
-    fuzz_parser.add_argument(
         "--artifacts", default="fuzz-artifacts",
         help="directory for repro.replay/1 divergence artifacts")
-    fuzz_parser.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (0 = auto-detect cores, 1 = sequential)")
-    serve_parser = subparsers.add_parser(
-        "serve", help="multi-tenant service layer: seeded load through "
-                      "admission, scheduling, and the warm machine pool")
+    serve_parser = _workload(
+        subparsers, "serve",
+        "multi-tenant service layer: seeded load through admission, "
+        "scheduling, and the warm machine pool",
+        seed=42, out=None, json_flag=True, ledger=True)
     serve_parser.add_argument(
         "--load", type=int, default=200,
         help="total number of guest submissions in the campaign")
-    serve_parser.add_argument(
-        "--seed", type=int, default=42,
-        help="master seed; derives every cell's arrival schedule and "
-             "guest programs")
     serve_parser.add_argument(
         "--cell-size", type=int, default=50,
         help="requests per cell (the parallel work unit; default 50)")
@@ -976,21 +999,6 @@ def main(argv: list[str] | None = None) -> int:
         "--engine", choices=("reference", "fast", "trace"), default="trace",
         help="interpreter engine for pooled machines (cycle-identical; "
              "default trace)")
-    serve_parser.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (0 = auto-detect cores, 1 = sequential)")
-    serve_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the repro.serve/1 JSON document on stdout")
-    serve_parser.add_argument(
-        "--out", default=None,
-        help="also write the repro.serve/1 report to this path")
-    serve_parser.add_argument(
-        "--ledger", default="BENCH_ledger.json",
-        help="performance ledger to append the serve summary row to")
-    serve_parser.add_argument(
-        "--no-ledger", action="store_true",
-        help="skip appending this run to the performance ledger")
     replay_parser = subparsers.add_parser(
         "replay", help="re-execute repro.replay/1 golden records")
     replay_parser.add_argument(

@@ -487,7 +487,7 @@ def combine_samples(name: str, machine_name: str, first: RunSample,
                     second: RunSample, reference: RunSample) -> BenchResult:
     """Fold the three measured samples into one benchmark verdict.
 
-    Shared by the sequential driver and the parallel merge layer, so a
+    Shared by the sequential driver and ``repro bench --jobs N``, so a
     suite sharded across processes reaches the same verdicts."""
     decoded_accesses = first.decoded_hits + first.decoded_misses
     return BenchResult(
@@ -517,14 +517,6 @@ def run_benchmark(name: str, machine_name: str, runner, iterations: int,
     first, second = run_fast_pair(machine_name, runner, iterations, traces)
     reference = run_slow_reference(machine_name, runner, iterations)
     return combine_samples(name, machine_name, first, second, reference)
-
-
-def run_suite(quick: bool = False, traces: bool = True) -> list[BenchResult]:
-    return [
-        run_benchmark(name, machine_name, runner,
-                      quick_iterations if quick else iterations, traces)
-        for name, machine_name, runner, iterations, quick_iterations in SUITE
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +568,8 @@ def run_batch_one(row_index: int, batch: int, steps: int, mode: str) -> dict:
     leg (``"scalar"`` = per-lane ``core.run``, ``"batch"`` = lockstep).
 
     Lane states and simulated cycles are bit-deterministic either way —
-    that is the contract the merge layer re-checks — so only the
-    wall-clock field depends on where (and how) the leg ran."""
+    that is the contract :func:`combine_batch_samples` re-checks — so
+    only the wall-clock field depends on where (and how) the leg ran."""
     name = BATCH_SUITE[row_index][0]
     lanes = _batch_lanes(row_index, batch)
     cores = [core for _, core, _ in lanes]
@@ -665,7 +657,7 @@ def combine_batch_samples(scalar_unit: dict,
                           batch_unit: dict) -> BatchBenchResult:
     """Fold one row's two legs into a verdict (the bench gate).
 
-    Shared by the sequential driver and the parallel merge layer, so the
+    Shared by the sequential driver and ``repro bench --jobs N``, so the
     bit-identity comparison is the same however the legs were sharded."""
     mismatched = tuple(
         position for position, (want, got)

@@ -36,6 +36,8 @@ import json
 import os
 import subprocess
 
+from repro.artifacts import load_document
+
 #: JSON schema identifier for the ledger (bump on incompatible change).
 LEDGER_SCHEMA = "repro.ledger/1"
 
@@ -147,15 +149,13 @@ def serve_entry_from_report(report: dict, *,
 
 
 def load_ledger(path: str = DEFAULT_LEDGER) -> dict:
-    """The ledger document at ``path``, or a fresh empty one."""
+    """The ledger document at ``path``, or a fresh empty one.
+
+    A file that exists but is not a ``repro.ledger/1`` document raises
+    :class:`repro.artifacts.ArtifactError`."""
     if not os.path.exists(path):
         return {"schema": LEDGER_SCHEMA, "entries": []}
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("schema") != LEDGER_SCHEMA:
-        raise ValueError(
-            f"{path}: unknown ledger schema {document.get('schema')!r}")
-    return document
+    return load_document(path, LEDGER_SCHEMA, {"entries": list})
 
 
 def _config_key(entry: dict) -> tuple:

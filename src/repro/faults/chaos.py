@@ -31,6 +31,7 @@ from repro.model.adversary import (
 )
 from repro.physical.isolation import IsolationLevel
 from repro.physical.link import ConsoleLink
+from repro.seeding import derive_seeds
 
 CHAOS_SCHEMA = "repro.chaos/1"
 
@@ -143,8 +144,13 @@ def replica_sweep(campaign_seed: int, *, replicas: int = REPLICA_COUNT,
     }
 
 
-def run_campaign(campaign_seed: int, *, index: int = 0) -> dict:
-    """One deployment, one fault plan, one roster, three invariants."""
+def run_campaign(campaign_seed: int, index: int = 0) -> dict:
+    """One deployment, one fault plan, one roster, three invariants.
+
+    The chaos work unit: ``(campaign_seed, index)`` fully determines the
+    returned dict (no wall time, no ambient RNG, no shared state), so a
+    campaign run in a worker process folds into the same report as one
+    run here."""
     rng = random.Random(campaign_seed)
     # The campaign seed drives fault plans and roster order, NOT the model:
     # the toy LLM (and the steering threshold tuned against it) stays at the
@@ -261,30 +267,6 @@ def _operator_drill(console) -> dict:
     return drill
 
 
-def run_one(campaign_seed: int, index: int = 0) -> dict:
-    """The pure, dispatchable chaos work unit.
-
-    ``(campaign_seed, index)`` fully determines the returned dict — no
-    wall time, no ambient RNG, no shared state — which is what lets the
-    parallel fabric (:mod:`repro.parallel`) run campaigns in worker
-    processes and still merge a report byte-identical to the sequential
-    one."""
-    return run_campaign(campaign_seed, index=index)
-
-
-def derive_campaign_seeds(seed: int, campaigns: int) -> list[int]:
-    """Expand the master seed into per-campaign seeds.
-
-    This is THE seed-derivation path: both the sequential loop in
-    :func:`run_chaos` and the sharded runner in :mod:`repro.parallel`
-    call it, so campaign ``i`` sees the same seed no matter where (or in
-    which process) it executes."""
-    if campaigns <= 0:
-        raise ValueError("campaigns must be positive")
-    master = random.Random(seed)
-    return [master.randrange(2 ** 32) for _ in range(campaigns)]
-
-
 def assemble_report(seed: int, campaigns: int, runs: list[dict]) -> dict:
     """Fold per-campaign run dicts into the ``repro.chaos/1`` report.
 
@@ -326,8 +308,7 @@ def assemble_report(seed: int, campaigns: int, runs: list[dict]) -> dict:
 def run_chaos(seed: int, campaigns: int) -> dict:
     """Run ``campaigns`` seeded campaigns; assemble the chaos report."""
     runs = [
-        run_campaign(campaign_seed, index=index)
-        for index, campaign_seed in enumerate(
-            derive_campaign_seeds(seed, campaigns))
+        run_campaign(campaign_seed, index)
+        for index, campaign_seed in enumerate(derive_seeds(seed, campaigns))
     ]
     return assemble_report(seed, campaigns, runs)

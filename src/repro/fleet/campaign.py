@@ -9,10 +9,11 @@ the horizon the fleet invariants are machine-checked and everything is
 folded into a JSON-stable run record.
 
 Mirrors :mod:`repro.faults.chaos` exactly in its determinism contract:
-``run_one(seed, index)`` is pure, campaign seeds derive from the master
-seed through one :class:`random.Random`, and ``assemble_report``
-recomputes every total from the runs, so a sharded execution through
-``repro.parallel`` is byte-identical to the sequential one.
+``run_fleet_campaign(seed, index, machines)`` is pure, campaign seeds
+derive from the master seed through :func:`repro.seeding.derive_seeds`,
+and ``assemble_report`` recomputes every total from the runs, so a
+sharded execution through ``repro.parallel`` is byte-identical to the
+sequential one.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.fleet.fleet import (
 )
 from repro.fleet.injector import FleetInjector
 from repro.fleet.invariants import check_fleet
+from repro.seeding import derive_seeds
 
 FLEET_SCHEMA = "repro.fleet/1"
 
@@ -48,7 +50,7 @@ SLICE_STEPS = 120
 DEFAULT_MACHINES = 3
 
 
-def run_fleet_campaign(campaign_seed: int, *, index: int = 0,
+def run_fleet_campaign(campaign_seed: int, index: int = 0,
                        machines: int = DEFAULT_MACHINES) -> dict[str, Any]:
     """Run one seeded fleet campaign; returns a JSON-stable run record."""
     rng = random.Random(campaign_seed)
@@ -111,18 +113,6 @@ def run_fleet_campaign(campaign_seed: int, *, index: int = 0,
     }
 
 
-def run_one(campaign_seed: int, index: int,
-            machines: int = DEFAULT_MACHINES) -> dict[str, Any]:
-    """Spawn-safe work unit for the parallel fabric."""
-    return run_fleet_campaign(campaign_seed, index=index, machines=machines)
-
-
-def derive_campaign_seeds(seed: int, campaigns: int) -> list[int]:
-    """Master seed -> per-campaign seeds (single derivation point)."""
-    rng = random.Random(seed)
-    return [rng.randrange(2**32) for _ in range(campaigns)]
-
-
 def assemble_report(seed: int, machines: int, campaigns: int,
                     runs: list[dict[str, Any]]) -> dict[str, Any]:
     """Fold runs into the ``repro.fleet/1`` report.
@@ -162,7 +152,6 @@ def assemble_report(seed: int, machines: int, campaigns: int,
 def run_fleet(seed: int, campaigns: int = 3,
               machines: int = DEFAULT_MACHINES) -> dict[str, Any]:
     """Sequential campaign driver (the ``--jobs 1`` reference path)."""
-    campaign_seeds = derive_campaign_seeds(seed, campaigns)
-    runs = [run_one(campaign_seed, index, machines)
-            for index, campaign_seed in enumerate(campaign_seeds)]
+    runs = [run_fleet_campaign(campaign_seed, index, machines)
+            for index, campaign_seed in enumerate(derive_seeds(seed, campaigns))]
     return assemble_report(seed, machines, campaigns, runs)

@@ -29,8 +29,6 @@ from __future__ import annotations
 from repro.fuzz.campaign import (
     FUZZ_SCHEMA,
     assemble_fuzz_report,
-    derive_batch_seeds,
-    plan_batches,
     run_fuzz,
     run_one_batch,
 )
@@ -65,11 +63,9 @@ __all__ = [
     "assemble_fuzz_report",
     "batch_noninterference_probes",
     "check_program",
-    "derive_batch_seeds",
     "divergence_artifact",
     "execute_program",
     "golden_artifact",
-    "plan_batches",
     "replay_artifact",
     "run_fuzz",
     "run_one_batch",

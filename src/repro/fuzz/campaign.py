@@ -1,15 +1,16 @@
 """Seeded fuzz campaigns: batches of generated programs through the oracles.
 
 The campaign mirrors the chaos subsystem's determinism contract
-(:mod:`repro.faults.chaos`): a master seed expands into per-batch seeds
-via :func:`derive_batch_seeds`, each batch is a *pure function* of
-``(batch_seed, index, count)`` (:func:`run_one_batch`), and
-:func:`assemble_fuzz_report` folds batch dicts into a ``repro.fuzz/1``
-report by recomputing every total from the merged runs.  Because the
-batch — not the program — is the unit of work, coverage-guided mutation
-(which is inherently sequential) stays *inside* a batch, and the parallel
-fabric can shard batches across worker processes while the merged report
-stays byte-identical to the sequential path at any ``--jobs``.
+(:mod:`repro.faults.chaos`): the program count splits into batches and a
+master seed expands into per-batch seeds (:mod:`repro.seeding`), each
+batch is a *pure function* of ``(batch_seed, index, count, max_steps)``
+(:func:`run_one_batch`), and :func:`assemble_fuzz_report` folds batch
+dicts into a ``repro.fuzz/1`` report by recomputing every total from the
+merged runs.  Because the batch — not the program — is the unit of work,
+coverage-guided mutation (which is inherently sequential) stays *inside*
+a batch, and ``repro fuzz --jobs N`` can shard batches across worker
+processes while the merged report stays byte-identical to the sequential
+path.
 
 Any oracle violation inside a batch is delta-debugged by the shrinker and
 embedded as a ``repro.replay/1`` divergence artifact, ready for
@@ -18,7 +19,6 @@ embedded as a ``repro.replay/1`` divergence artifact, ready for
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 
 from repro.fuzz.gen import GeneratorConfig, ProgramGenerator
@@ -29,6 +29,7 @@ from repro.fuzz.oracles import (
 )
 from repro.fuzz.replay import divergence_artifact
 from repro.fuzz.shrink import shrink_words
+from repro.seeding import derive_seeds, split_sizes
 
 FUZZ_SCHEMA = "repro.fuzz/1"
 
@@ -42,37 +43,12 @@ DEFAULT_BATCH_SIZE = 25
 SHRINK_MAX_EVALS = 150
 
 
-def derive_batch_seeds(seed: int, batches: int) -> list[int]:
-    """Expand the master seed into per-batch generator seeds.
-
-    This is THE derivation path — the sequential driver and the sharded
-    runner both call it, so batch ``i`` fuzzes the same programs no matter
-    where it executes."""
-    if batches <= 0:
-        raise ValueError("batches must be positive")
-    master = random.Random(seed)
-    return [master.randrange(2 ** 32) for _ in range(batches)]
-
-
-def plan_batches(count: int, batch_size: int = DEFAULT_BATCH_SIZE) -> list[int]:
-    """Split ``count`` programs into per-batch counts (last batch short)."""
-    if count <= 0:
-        raise ValueError("count must be positive")
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    full, rest = divmod(count, batch_size)
-    sizes = [batch_size] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
-
-
 def run_one_batch(
     batch_seed: int,
     index: int,
     count: int,
-    *,
     max_steps: int = DEFAULT_MAX_STEPS,
+    *,
     shrink: bool = True,
 ) -> dict:
     """The pure, dispatchable fuzz work unit.
@@ -221,12 +197,11 @@ def run_fuzz(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> dict:
     """Run a fuzz campaign sequentially; assemble the ``repro.fuzz/1``
-    report.  The sharded equivalent is
-    :func:`repro.parallel.fabric.run_fuzz_fabric`."""
-    sizes = plan_batches(count, batch_size)
-    seeds = derive_batch_seeds(seed, len(sizes))
+    report.  ``repro fuzz --jobs N`` shards the same batches."""
+    sizes = split_sizes(count, batch_size)
+    seeds = derive_seeds(seed, len(sizes))
     runs = [
-        run_one_batch(batch_seed, index, size, max_steps=max_steps)
+        run_one_batch(batch_seed, index, size, max_steps)
         for index, (batch_seed, size) in enumerate(zip(seeds, sizes))
     ]
     return assemble_fuzz_report(seed, count, batch_size, max_steps, runs)

@@ -506,8 +506,9 @@ def migration_probe(
     The run is interrupted after ``split`` steps, checkpointed, JSON
     round-tripped (exactly what a fleet migration ships over the wire),
     restored onto a fresh machine, and continued there.  The second leg
-    runs only when the first leg exhausted its full ``split`` budget — an
-    early break (halt, fault, WFI park) is the run's final state, which is
+    runs only when the first leg stopped on its ``split`` budget — an
+    early break (halt, fault, WFI park, or a wake-up check that finds the
+    parked core still asleep) is the run's final state, which is
     precisely what an uninterrupted ``run(max_steps)`` would have returned.
     """
     import json
@@ -528,13 +529,19 @@ def migration_probe(
         )
     core.resume()
     split = min(split, max_steps)
+    progress = core.instructions_retired + core.faults
     steps = core.run(max_steps=split)
+    # ``Core.run`` counts the wake-up check on a parked (WFI) core as a
+    # step and stops after it.  A counted step that neither retired an
+    # instruction nor raised a fault is that check, so a leg that took one
+    # stopped on its own, not on its budget, even when ``steps == split``.
+    woke_and_parked = core.instructions_retired + core.faults - progress < steps
 
     checkpoint = json.loads(json.dumps(capture_checkpoint(machine)))
     target = build_guillotine_machine(fuzz_guillotine_config())
     restore_checkpoint(target, checkpoint)
     migrated_core = target.model_cores[0]
-    if steps == split and split < max_steps:
+    if steps == split and not woke_and_parked and split < max_steps:
         steps += migrated_core.run(max_steps=max_steps - split)
     return _capture_record(target, "guillotine", "migrated",
                            migrated_core, steps, layout["code_pages"])

@@ -26,10 +26,10 @@ always ``null`` today.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.artifacts import ArtifactError, load_document
 from repro.fuzz.oracles import (
     DEFAULT_MAX_STEPS,
     ProgramOutcome,
@@ -228,9 +228,17 @@ def replay_artifact(artifact: dict) -> ReplayResult:
 
 
 def load_artifact(path: str) -> dict:
-    """Read one artifact from disk (tiny helper shared by CLI and tests)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """Read one artifact from disk, checking the fields replay relies on.
+
+    Raises :class:`repro.artifacts.ArtifactError` when the file is
+    unreadable, malformed, or shaped unlike a ``repro.replay/1`` record."""
+    artifact = load_document(path, REPLAY_SCHEMA, {
+        "kind": str, "program": dict, "program.words_hex": list,
+        "expected": dict,
+    })
+    if not all(isinstance(word, str) for word in artifact["program"]["words_hex"]):
+        raise ArtifactError("field program.words_hex holds a non-string")
+    return artifact
 
 
 __all__ = [

@@ -32,10 +32,14 @@ to the reference interpreter.  The generated code preserves this by
   instruction can run — invalidation rides the same hooks as the decoded-
   instruction cache (:class:`repro.hw.memory.Dram`).
 
-Watchpoints, armed timers, speculation, and second-level (EPT) translation
-disqualify a core from trace dispatch entirely (checked per ``run()``
-iteration), and ``single_step()`` never dispatches traces, so inspection
-and fault-injection hooks keep instruction granularity.
+Watchpoints and armed timers drop a core to single-step dispatch (checked
+per ``run()`` iteration) and speculation disqualifies it entirely.  A core
+behind second-level (EPT) translation dispatches traces whenever it has a
+``second_level_source``: its cached translations are keyed on the combined
+(MMU, EPT) generation, so a change to either table retires them.  Only an
+EPT core without that source never dispatches traces.  ``single_step()``
+never dispatches traces, so inspection and fault-injection hooks keep
+instruction granularity.
 """
 
 from __future__ import annotations

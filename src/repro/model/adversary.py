@@ -263,10 +263,11 @@ class SocialEngineeringAdversary(Adversary):
                 self.corrupted_admins >= 1,
                 operators=1, corrupted=self.corrupted_admins,
             )
-        # Setup: the detectors already severed the model.
-        honest = {a.name for a in console.admins}
+        # Setup: the detectors already severed the model.  The first three
+        # admins approve, in roster order (not set order, which string
+        # hashing would decide).
         console.admin_transition(
-            IsolationLevel.SEVERED, set(list(honest)[:3]),
+            IsolationLevel.SEVERED, {a.name for a in console.admins[:3]},
             "detector alarm: exfiltration attempt",
         )
         corrupted = {a.name for a in console.admins[: self.corrupted_admins]}

@@ -1,17 +1,15 @@
-"""Multiprocess execution fabric for chaos, campaign, and bench runs.
+"""Multiprocess execution fabric for every ``--jobs`` workload.
 
-Shards embarrassingly parallel workloads across warm spawn-method worker
-processes and merges the results into reports byte-identical to the
-sequential drivers.  See :mod:`repro.parallel.fabric` for the entry
-points and :mod:`repro.parallel.merge` for the determinism contract.
+A workload is a list of spawn-safe :class:`Task` objects (a
+``"module:function"`` name plus positional arguments).  :func:`run_tasks`
+runs them in-process or across warm spawn-method worker processes and
+returns the results in task order; the caller folds them into a report
+with the same assembler its sequential driver uses, so the report is
+byte-identical at any ``--jobs``.  See :mod:`repro.parallel.fabric` for
+the driver and :mod:`repro.parallel.merge` for the determinism contract.
 """
 
-from repro.parallel.fabric import (
-    run_bench_fabric,
-    run_chaos_fabric,
-    run_fleet_fabric,
-    run_paired_campaign_fabric,
-)
+from repro.parallel.fabric import run_tasks
 from repro.parallel.merge import canonical_bytes, deterministic_view
 from repro.parallel.pool import MAX_AUTO_JOBS, PoolStats, ShardedRunner, resolve_jobs
 from repro.parallel.sweep import (
@@ -20,34 +18,20 @@ from repro.parallel.sweep import (
     scaling_sweep,
     sweep_points,
 )
-from repro.parallel.tasks import (
-    BenchTask,
-    CampaignAttackTask,
-    ChaosCampaignTask,
-    FleetCampaignTask,
-    WarmupTask,
-    execute_task,
-)
+from repro.parallel.tasks import Task, execute_task
 
 __all__ = [
-    "BenchTask",
-    "CampaignAttackTask",
-    "ChaosCampaignTask",
     "DEFAULT_OUTPUT",
-    "FleetCampaignTask",
     "MAX_AUTO_JOBS",
     "PARALLEL_SCHEMA",
     "PoolStats",
     "ShardedRunner",
-    "WarmupTask",
+    "Task",
     "canonical_bytes",
     "deterministic_view",
     "execute_task",
     "resolve_jobs",
-    "run_bench_fabric",
-    "run_chaos_fabric",
-    "run_fleet_fabric",
-    "run_paired_campaign_fabric",
+    "run_tasks",
     "scaling_sweep",
     "sweep_points",
 ]

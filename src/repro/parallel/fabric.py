@@ -1,319 +1,57 @@
-"""High-level entry points: shard a workload, merge it, time it.
+"""The one sharded driver: run a list of tasks in order, and time it.
 
-Each function here mirrors a sequential driver one-for-one:
+``jobs <= 1``, or a single task, runs the tasks one after another in this
+process through the same :func:`~repro.parallel.tasks.execute_task` a
+worker uses — no pool is built, so ``--jobs 1`` costs nothing beyond the
+work itself.  Otherwise the tasks map over a :class:`ShardedRunner`.
+Either way the results come back in task order, and the caller folds
+them with the workload's own assembler (``assemble_report``,
+``assemble_fuzz_report``, ``assemble_serve_report``,
+``report_from_results``, ``combine_samples``) — the same function its
+sequential driver uses — so ``--jobs`` decides only which process runs
+each task, never what the report says.
 
-========================  =======================================
-sequential                sharded
-========================  =======================================
-``chaos.run_chaos``       :func:`run_chaos_fabric`
-``run_paired_campaign``   :func:`run_paired_campaign_fabric`
-``bench.run_suite``       :func:`run_bench_fabric`
-``serve.run_serve``       :func:`run_serve_fabric`
-========================  =======================================
-
-``jobs <= 1`` (or a workload too small to shard) takes the *legacy
-sequential code path* — literally the same function the pre-fabric CLI
-called, not a one-worker pool — so ``--jobs 1`` reproduces historical
-behaviour exactly, monkeypatching included.  For ``jobs > 1`` the work
-is expanded into spawn-safe task descriptors using the same seed
-derivation as the sequential loop, mapped over a :class:`ShardedRunner`,
-and merged deterministically.
-
-Every function returns ``(payload, timing)``: the payload is the
-deterministic report (byte-identical across jobs counts); the timing
-dict is the non-compared section — wall seconds, throughput, pool
-stats — for CLI summary lines and the scaling sweep.
+The timing dict is the non-compared section (wall seconds, throughput,
+pool stats) for CLI summary lines and the scaling sweep.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.parallel.merge import (
-    merge_batch_bench_samples,
-    merge_bench_samples,
-    merge_campaign_results,
-    merge_chaos_runs,
-    merge_fleet_runs,
-    merge_fuzz_batches,
-    merge_serve_cells,
-)
 from repro.parallel.pool import ShardedRunner, resolve_jobs
-from repro.parallel.tasks import (
-    BatchBenchTask,
-    BenchTask,
-    CampaignAttackTask,
-    ChaosCampaignTask,
-    FleetCampaignTask,
-    FuzzBatchTask,
-    ServeCellTask,
-)
+from repro.parallel.tasks import Task, execute_task
 
 
-def _timing(start: float, units: int, jobs: int, mode: str,
-            runner: ShardedRunner | None = None) -> dict:
+def run_tasks(tasks: list[Task], jobs: int | None = None, *,
+              units: int | None = None,
+              runner: ShardedRunner | None = None) -> tuple[list, dict]:
+    """Run ``tasks``; returns ``(results in task order, timing)``.
+
+    ``units`` is the work the tasks cover for the throughput figure
+    (programs, requests, suite rows); it defaults to one per task.  A
+    caller-owned ``runner`` (warm, reused across calls) overrides
+    ``jobs``; otherwise a pool is built for this call and closed after."""
+    jobs = runner.jobs if runner is not None else resolve_jobs(jobs)
+    start = time.perf_counter()
+    pool = None
+    if jobs <= 1 or len(tasks) <= 1:
+        jobs = 1
+        results = [execute_task(task) for task in tasks]
+    else:
+        pool = runner if runner is not None else ShardedRunner(jobs)
+        try:
+            results = pool.map(tasks)
+        finally:
+            if runner is None:
+                pool.close()
     wall = time.perf_counter() - start
-    return {
+    units = len(tasks) if units is None else units
+    return results, {
         "wall_seconds": wall,
         "units": units,
         "units_per_second": units / wall if wall > 0 else 0.0,
         "jobs": jobs,
-        "mode": mode,
-        "pool": runner.stats.to_dict() if runner is not None else None,
+        "mode": "sequential" if pool is None else "parallel",
+        "pool": pool.stats.to_dict() if pool is not None else None,
     }
-
-
-def run_chaos_fabric(seed: int, campaigns: int, jobs: int | None = None,
-                     *, runner: ShardedRunner | None = None
-                     ) -> tuple[dict, dict]:
-    """Chaos campaigns, sharded; report byte-identical to ``run_chaos``."""
-    from repro.faults.chaos import derive_campaign_seeds, run_chaos
-
-    jobs = runner.jobs if runner is not None else resolve_jobs(jobs)
-    start = time.perf_counter()
-    if jobs <= 1 or campaigns <= 1:
-        report = run_chaos(seed, campaigns)
-        return report, _timing(start, campaigns, 1, "sequential")
-    seeds = derive_campaign_seeds(seed, campaigns)
-    tasks = [ChaosCampaignTask(campaign_seed, index)
-             for index, campaign_seed in enumerate(seeds)]
-    own_runner = runner is None
-    if own_runner:
-        runner = ShardedRunner(jobs)
-    try:
-        runs = runner.map(tasks)
-    finally:
-        if own_runner:
-            runner.close()
-    report = merge_chaos_runs(seed, campaigns, runs)
-    return report, _timing(start, campaigns, jobs, "parallel", runner)
-
-
-def run_fleet_fabric(seed: int, campaigns: int, machines: int,
-                     jobs: int | None = None,
-                     *, runner: ShardedRunner | None = None
-                     ) -> tuple[dict, dict]:
-    """Fleet campaigns, sharded; report byte-identical to ``run_fleet``."""
-    from repro.fleet.campaign import derive_campaign_seeds, run_fleet
-
-    jobs = runner.jobs if runner is not None else resolve_jobs(jobs)
-    start = time.perf_counter()
-    if jobs <= 1 or campaigns <= 1:
-        report = run_fleet(seed, campaigns, machines)
-        return report, _timing(start, campaigns, 1, "sequential")
-    seeds = derive_campaign_seeds(seed, campaigns)
-    tasks = [FleetCampaignTask(campaign_seed, index, machines)
-             for index, campaign_seed in enumerate(seeds)]
-    own_runner = runner is None
-    if own_runner:
-        runner = ShardedRunner(jobs)
-    try:
-        runs = runner.map(tasks)
-    finally:
-        if own_runner:
-            runner.close()
-    report = merge_fleet_runs(seed, machines, campaigns, runs)
-    return report, _timing(start, campaigns, jobs, "parallel", runner)
-
-
-def run_fuzz_fabric(seed: int, count: int, jobs: int | None = None,
-                    *, batch_size: int | None = None,
-                    max_steps: int | None = None,
-                    runner: ShardedRunner | None = None
-                    ) -> tuple[dict, dict]:
-    """Fuzz batches, sharded; report byte-identical to ``run_fuzz``.
-
-    The batch partition and per-batch seeds come from the same derivation
-    the sequential driver uses, so the only thing ``--jobs`` changes is
-    which process executes each batch."""
-    from repro.fuzz.campaign import (
-        DEFAULT_BATCH_SIZE,
-        derive_batch_seeds,
-        plan_batches,
-        run_fuzz,
-    )
-    from repro.fuzz.oracles import DEFAULT_MAX_STEPS
-
-    batch_size = batch_size or DEFAULT_BATCH_SIZE
-    max_steps = max_steps or DEFAULT_MAX_STEPS
-    sizes = plan_batches(count, batch_size)
-    jobs = runner.jobs if runner is not None else resolve_jobs(jobs)
-    start = time.perf_counter()
-    if jobs <= 1 or len(sizes) <= 1:
-        report = run_fuzz(seed, count, batch_size=batch_size,
-                          max_steps=max_steps)
-        return report, _timing(start, count, 1, "sequential")
-    seeds = derive_batch_seeds(seed, len(sizes))
-    tasks = [
-        FuzzBatchTask(batch_seed, index, size, max_steps)
-        for index, (batch_seed, size) in enumerate(zip(seeds, sizes))
-    ]
-    own_runner = runner is None
-    if own_runner:
-        runner = ShardedRunner(jobs)
-    try:
-        runs = runner.map(tasks)
-    finally:
-        if own_runner:
-            runner.close()
-    report = merge_fuzz_batches(seed, count, batch_size, max_steps, runs)
-    return report, _timing(start, count, jobs, "parallel", runner)
-
-
-def run_serve_fabric(seed: int, load: int, jobs: int | None = None,
-                     *, cell_size: int | None = None, machines: int = 4,
-                     queue_cap: int = 6, budget: int = 4000,
-                     engine: str = "trace",
-                     runner: ShardedRunner | None = None
-                     ) -> tuple[dict, dict]:
-    """Serve cells, sharded; report byte-identical to ``run_serve``.
-
-    The cell partition and per-cell seeds come from the same derivation
-    the sequential driver uses; the merge recomputes every aggregate, so
-    ``--jobs`` only decides which process runs each cell."""
-    from repro.serve.load import (
-        DEFAULT_CELL_SIZE,
-        derive_cell_seeds,
-        plan_cells,
-        run_serve,
-    )
-    from repro.serve.service import ServiceConfig
-
-    cell_size = cell_size or DEFAULT_CELL_SIZE
-    config = ServiceConfig(machines=machines, queue_cap=queue_cap,
-                           budget_cycles=budget, engine=engine)
-    sizes = plan_cells(load, cell_size)
-    jobs = runner.jobs if runner is not None else resolve_jobs(jobs)
-    start = time.perf_counter()
-    if jobs <= 1 or len(sizes) <= 1:
-        report = run_serve(seed, load, cell_size=cell_size, config=config)
-        return report, _timing(start, load, 1, "sequential")
-    seeds = derive_cell_seeds(seed, len(sizes))
-    tasks = [
-        ServeCellTask(cell_seed, index, count, machines, queue_cap,
-                      budget, engine)
-        for index, (cell_seed, count) in enumerate(zip(seeds, sizes))
-    ]
-    own_runner = runner is None
-    if own_runner:
-        runner = ShardedRunner(jobs)
-    try:
-        cells = runner.map(tasks)
-    finally:
-        if own_runner:
-            runner.close()
-    report = merge_serve_cells(seed, load, cell_size, config, cells)
-    return report, _timing(start, load, jobs, "parallel", runner)
-
-
-def run_paired_campaign_fabric(seed: int | None = None,
-                               jobs: int | None = None,
-                               *, runner: ShardedRunner | None = None):
-    """The E13 comparison, sharded per (platform, adversary).
-
-    Returns ``(baseline_report, guillotine_report, timing)``; the two
-    reports (and their ``to_dict`` JSON) are identical to
-    :func:`repro.core.scenarios.run_paired_campaign`'s."""
-    from repro.core.scenarios import campaign_roster, run_paired_campaign
-
-    roster_size = len(campaign_roster(seed))
-    jobs = runner.jobs if runner is not None else resolve_jobs(jobs)
-    start = time.perf_counter()
-    if jobs <= 1 or roster_size <= 1:
-        baseline, guillotine = run_paired_campaign(seed=seed)
-        return baseline, guillotine, _timing(
-            start, 2 * roster_size, 1, "sequential")
-    tasks = [
-        CampaignAttackTask(platform, index, seed)
-        for platform in ("baseline", "guillotine")
-        for index in range(roster_size)
-    ]
-    own_runner = runner is None
-    if own_runner:
-        runner = ShardedRunner(jobs)
-    try:
-        results = runner.map(tasks)
-    finally:
-        if own_runner:
-            runner.close()
-    baseline = merge_campaign_results("baseline", results[:roster_size])
-    guillotine = merge_campaign_results("guillotine", results[roster_size:])
-    return baseline, guillotine, _timing(
-        start, 2 * roster_size, jobs, "parallel", runner)
-
-
-def run_bench_fabric(quick: bool = False, jobs: int | None = None,
-                     traces: bool = True, *,
-                     runner: ShardedRunner | None = None):
-    """The bench suite, sharded per (row, interpreter mode).
-
-    Returns ``(results, timing)``.  Simulated counters and verdicts are
-    bit-identical to the sequential suite; wall-clock fields reflect
-    sharded execution (workers contend for cores), which is why bench
-    comparisons go through ``deterministic_view``."""
-    from repro.core.bench import SUITE, run_suite
-
-    jobs = runner.jobs if runner is not None else resolve_jobs(jobs)
-    start = time.perf_counter()
-    if jobs <= 1 or len(SUITE) <= 1:
-        results = run_suite(quick=quick, traces=traces)
-        return results, _timing(start, len(SUITE), 1, "sequential")
-    tasks = []
-    for suite_index, entry in enumerate(SUITE):
-        iterations = entry[4] if quick else entry[3]
-        tasks.append(BenchTask(suite_index, iterations, "fast", traces))
-        tasks.append(BenchTask(suite_index, iterations, "slow", traces))
-    own_runner = runner is None
-    if own_runner:
-        runner = ShardedRunner(jobs)
-    try:
-        units = runner.map(tasks)
-    finally:
-        if own_runner:
-            runner.close()
-    fast_units = [unit for unit in units if unit["mode"] == "fast"]
-    slow_units = [unit for unit in units if unit["mode"] == "slow"]
-    results = merge_bench_samples(fast_units, slow_units)
-    return results, _timing(start, len(SUITE), jobs, "parallel", runner)
-
-
-def run_batch_bench_fabric(batch: int, quick: bool = False,
-                           jobs: int | None = None, *,
-                           runner: ShardedRunner | None = None):
-    """The lockstep batch suite, sharded per (row, engine leg).
-
-    Returns ``(results, timing)``.  Each row runs twice — once per-lane
-    on the scalar engine, once through :class:`repro.hw.batch`'s
-    lockstep engine — and the merge layer bit-compares the legs lane by
-    lane, so ``--jobs`` changes only where each leg executed, never the
-    gate's verdict."""
-    from repro.core.bench import (
-        BATCH_QUICK_STEPS,
-        BATCH_STEPS,
-        BATCH_SUITE,
-        run_batch_suite,
-    )
-
-    steps = BATCH_QUICK_STEPS if quick else BATCH_STEPS
-    jobs = runner.jobs if runner is not None else resolve_jobs(jobs)
-    start = time.perf_counter()
-    if jobs <= 1 or len(BATCH_SUITE) <= 1:
-        results = run_batch_suite(batch, quick=quick)
-        return results, _timing(start, len(BATCH_SUITE), 1, "sequential")
-    tasks = []
-    for row_index in range(len(BATCH_SUITE)):
-        tasks.append(BatchBenchTask(row_index, batch, steps, "scalar"))
-        tasks.append(BatchBenchTask(row_index, batch, steps, "batch"))
-    own_runner = runner is None
-    if own_runner:
-        runner = ShardedRunner(jobs)
-    try:
-        units = runner.map(tasks)
-    finally:
-        if own_runner:
-            runner.close()
-    scalar_units = [unit for unit in units if unit["mode"] == "scalar"]
-    batch_units = [unit for unit in units if unit["mode"] == "batch"]
-    results = merge_batch_bench_samples(scalar_units, batch_units)
-    return results, _timing(start, len(BATCH_SUITE), jobs, "parallel",
-                            runner)

@@ -1,22 +1,23 @@
-"""Deterministic report merging and the determinism-comparison views.
+"""The determinism-comparison views of a report.
 
-The fabric's contract is that a sharded run emits reports byte-identical
-to the sequential path.  Two report families need different treatment:
+A sharded run must emit reports byte-identical to the sequential path.
+Two report families need different treatment:
 
-* ``repro.chaos/1`` and ``repro.campaign/1`` contain *no* wall-clock
+* ``repro.chaos/1``, ``repro.fleet/1``, ``repro.fuzz/1``,
+  ``repro.serve/1`` and ``repro.campaign/1`` contain *no* wall-clock
   fields at all (timing is a CLI summary line and a ``repro.parallel/1``
-  artifact, never part of the payload), so the comparison is plain
-  byte equality of the canonical JSON.
+  artifact, never part of the payload), so the comparison is plain byte
+  equality of the canonical JSON.
 * ``repro.bench/1`` necessarily embeds wall-clock measurements
   (``wall_seconds``, ``steps_per_second``, ``speedup``...).  Those are
   the *non-compared section*: :func:`deterministic_view` strips them,
   leaving the simulated steps/cycles and the determinism/equivalence
   verdicts, which must match bit-for-bit however the suite was sharded.
 
-The merge functions themselves are thin: aggregation lives next to the
-sequential implementations (``assemble_report``, ``suite_report``,
-``report_from_results``) precisely so the parallel path cannot drift
-from the sequential one.
+There is no merge code here: callers fold task results with the
+aggregation that lives next to each sequential implementation
+(``assemble_report``, ``suite_report``, ``report_from_results``...)
+precisely so the sharded path cannot drift from the sequential one.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ _BATCH_WALL_KEYS = frozenset({
 def deterministic_view(report: dict) -> dict:
     """The portion of a report that must be identical however it ran.
 
-    For chaos/campaign documents this is the whole report; for bench
+    For every timing-free document this is the whole report; for bench
     documents the wall-clock fields (the non-compared section) are
     stripped from every row and from the totals."""
     if report.get("schema") != "repro.bench/1":
@@ -78,85 +79,3 @@ def deterministic_view(report: dict) -> dict:
 def canonical_bytes(report: dict) -> str:
     """Canonical JSON of the deterministic view (what tests compare)."""
     return json.dumps(deterministic_view(report), indent=2, sort_keys=True)
-
-
-def merge_chaos_runs(seed: int, campaigns: int, runs: list[dict]) -> dict:
-    """Reassemble per-shard campaign dicts into the chaos report."""
-    from repro.faults.chaos import assemble_report
-
-    return assemble_report(seed, campaigns, runs)
-
-
-def merge_fleet_runs(seed: int, machines: int, campaigns: int,
-                     runs: list[dict]) -> dict:
-    """Reassemble per-shard fleet campaign dicts into the fleet report."""
-    from repro.fleet.campaign import assemble_report
-
-    return assemble_report(seed, machines, campaigns, runs)
-
-
-def merge_campaign_results(platform: str, results: list[dict]):
-    """Reassemble per-shard attack dicts into a campaign report."""
-    from repro.core.scenarios import report_from_results
-
-    return report_from_results(platform, results)
-
-
-def merge_fuzz_batches(seed: int, count: int, batch_size: int,
-                       max_steps: int, runs: list[dict]) -> dict:
-    """Reassemble per-shard fuzz batch dicts into the campaign report."""
-    from repro.fuzz.campaign import assemble_fuzz_report
-
-    return assemble_fuzz_report(seed, count, batch_size, max_steps, runs)
-
-
-def merge_serve_cells(seed: int, load: int, cell_size: int, config,
-                      cells: list[dict]) -> dict:
-    """Reassemble per-shard serve cells into the ``repro.serve/1`` report."""
-    from repro.serve.load import assemble_serve_report
-
-    return assemble_serve_report(seed, load, cell_size, config, cells)
-
-
-def merge_batch_bench_samples(scalar_units: list[dict],
-                              batch_units: list[dict]) -> list:
-    """Pair scalar/lockstep legs by batch-suite row into verdicts.
-
-    The bit-identity comparison (``combine_batch_samples``) is the same
-    function the sequential driver uses, so sharding the legs across
-    workers cannot weaken the gate."""
-    from repro.core.bench import combine_batch_samples
-
-    by_row_scalar = {unit["row_index"]: unit for unit in scalar_units}
-    by_row_batch = {unit["row_index"]: unit for unit in batch_units}
-    if set(by_row_scalar) != set(by_row_batch):
-        raise ValueError(
-            "scalar/batch bench shards do not cover the same rows")
-    return [
-        combine_batch_samples(by_row_scalar[row], by_row_batch[row])
-        for row in sorted(by_row_scalar)
-    ]
-
-
-def merge_bench_samples(fast_units: list[dict],
-                        slow_units: list[dict]) -> list:
-    """Pair fast/slow sample units by suite row into BenchResults.
-
-    Rows come back ordered by suite index (the fabric preserves task
-    order); verdicts are recomputed from the simulated counters, which
-    are bit-identical wherever the samples were measured."""
-    from repro.core.bench import RunSample, combine_samples
-
-    by_index_fast = {unit["suite_index"]: unit for unit in fast_units}
-    by_index_slow = {unit["suite_index"]: unit for unit in slow_units}
-    if set(by_index_fast) != set(by_index_slow):
-        raise ValueError("fast/slow bench shards do not cover the same rows")
-    results = []
-    for suite_index in sorted(by_index_fast):
-        fast = by_index_fast[suite_index]
-        slow = by_index_slow[suite_index]
-        first, second = (RunSample(**sample) for sample in fast["samples"])
-        (reference,) = (RunSample(**sample) for sample in slow["samples"])
-        results.append(combine_samples(fast["name"], fast["machine"],
-                                       first, second, reference))
-    return results

@@ -13,7 +13,7 @@ it runs.  The recovery ladder is therefore simple:
    slower, but guaranteed, and byte-identical by construction.
 
 Nothing in this module knows what a chaos campaign or a benchmark is;
-it maps :mod:`repro.parallel.tasks` descriptors to result dicts,
+it maps :class:`~repro.parallel.tasks.Task` objects to their results,
 preserving input order.
 """
 
@@ -25,7 +25,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
-from repro.parallel.tasks import WarmupTask, execute_task
+from repro.parallel.tasks import WARMUP, execute_task
 
 #: Upper bound on worker processes however many cores the box claims —
 #: beyond this the merge/dispatch thread is the bottleneck anyway.
@@ -149,8 +149,8 @@ class ShardedRunner:
     def warm_up(self) -> None:
         """Start every worker and pre-import the stack (one task each)."""
         pool = self._pool()
-        futures = [pool.submit(execute_task, WarmupTask(index))
-                   for index in range(self.jobs)]
+        futures = [pool.submit(execute_task, WARMUP)
+                   for _ in range(self.jobs)]
         for future in futures:
             result = future.result(timeout=self.task_timeout)
             self.stats.worker_pids.add(result.get("pid"))
@@ -171,7 +171,7 @@ class ShardedRunner:
     # Mapping
     # ------------------------------------------------------------------
 
-    def map(self, tasks: list) -> list[dict]:
+    def map(self, tasks: list) -> list:
         """Run every task; results in input order, completion guaranteed."""
         results: list = [None] * len(tasks)
         pending = list(enumerate(tasks))

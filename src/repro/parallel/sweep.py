@@ -4,9 +4,9 @@ Runs the same chaos-campaign workload at jobs ∈ {1, 2, 4, cores},
 measuring wall time with *warm* pools (workers are spawned and have
 pre-imported the stack before the clock starts — the sweep measures
 sharded execution, not process start-up, which is reported separately
-as ``warmup_seconds``).  The jobs=1 run goes through the legacy
-sequential path and serves as both the throughput baseline and the
-reference report every parallel merge is byte-compared against.
+as ``warmup_seconds``).  The jobs=1 run executes every campaign in this
+process and serves as both the throughput baseline and the reference
+report every parallel merge is byte-compared against.
 
 The emitted document intentionally contains wall-clock numbers — it is
 a benchmark artifact, the designated home for everything the chaos and
@@ -20,9 +20,10 @@ from __future__ import annotations
 import platform
 import time
 
-from repro.parallel.fabric import run_chaos_fabric
+from repro.parallel.fabric import run_tasks
 from repro.parallel.merge import canonical_bytes
 from repro.parallel.pool import ShardedRunner, resolve_jobs
+from repro.parallel.tasks import Task
 
 PARALLEL_SCHEMA = "repro.parallel/1"
 DEFAULT_OUTPUT = "BENCH_parallel.json"
@@ -31,6 +32,18 @@ DEFAULT_OUTPUT = "BENCH_parallel.json"
 #: work for each worker, small enough for a CI smoke job.
 DEFAULT_SEED = 7
 DEFAULT_CAMPAIGNS = 16
+
+
+def _chaos(seed: int, campaigns: int, **how) -> tuple[dict, dict]:
+    """The chaos report and its timing, run as ``how`` says."""
+    from repro.faults.chaos import assemble_report
+    from repro.seeding import derive_seeds
+
+    tasks = [Task("repro.faults.chaos:run_campaign", (campaign_seed, index))
+             for index, campaign_seed
+             in enumerate(derive_seeds(seed, campaigns))]
+    runs, timing = run_tasks(tasks, **how)
+    return assemble_report(seed, campaigns, runs), timing
 
 
 def sweep_points(cores: int | None = None) -> list[int]:
@@ -55,7 +68,7 @@ def scaling_sweep(seed: int = DEFAULT_SEED,
     for jobs in jobs_list:
         if jobs == 1:
             start = time.perf_counter()
-            report, timing = run_chaos_fabric(seed, campaigns, jobs=1)
+            report, timing = _chaos(seed, campaigns, jobs=1)
             wall = time.perf_counter() - start
             warmup_seconds = 0.0
             pool_stats = None
@@ -65,8 +78,7 @@ def scaling_sweep(seed: int = DEFAULT_SEED,
                 runner.warm_up()
                 warmup_seconds = time.perf_counter() - warm_start
                 start = time.perf_counter()
-                report, timing = run_chaos_fabric(
-                    seed, campaigns, runner=runner)
+                report, timing = _chaos(seed, campaigns, runner=runner)
                 wall = time.perf_counter() - start
                 pool_stats = runner.stats.to_dict()
         report_bytes = canonical_bytes(report)

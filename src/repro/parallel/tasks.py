@@ -1,17 +1,19 @@
-"""Spawn-safe task descriptors and the worker-side dispatcher.
+"""The spawn-safe task and the worker-side entry point.
 
-A task descriptor is a frozen dataclass of primitives — seeds, indices,
-platform names — never a live object.  Workers started with the
-``spawn`` method share *nothing* with the parent beyond what pickles
-through these descriptors, which is the whole point: a work unit that
-executes identically in the parent, a warm pooled worker, or a freshly
-retried one is a work unit whose results can be merged back into a
-byte-identical report.
+A :class:`Task` names its function as a ``"module:function"`` string and
+carries positional arguments that pickle by value — seeds, indices,
+sizes, frozen config dataclasses — never a live object.  Workers started
+with the ``spawn`` method share *nothing* with the parent beyond what
+pickles through a task, which is the whole point: a task that executes
+identically in the parent, a warm pooled worker, or a freshly retried one
+is a task whose results fold back into a byte-identical report.
 
-:func:`execute_task` is the single entry point worker processes run.
-It must stay importable at module top level (``spawn`` pickles it by
-qualified name) and must import the heavy simulation modules *lazily*,
-inside the dispatch arms, so pool start-up stays cheap.
+:func:`execute_task` is the single entry point worker processes run.  It
+must stay importable at module top level (``spawn`` pickles it by
+qualified name).  It resolves the function by name at call time, so a
+worker imports only the modules its tasks need and an in-process run
+calls whatever the module attribute is bound to at that moment (a
+monkeypatched unit included).
 
 ``crash_token`` exists for the straggler-retry tests: a task carrying a
 token path hard-kills its worker (``os._exit``) the first time it is
@@ -21,8 +23,10 @@ worker crash changes nothing about the merged report.
 
 from __future__ import annotations
 
+import importlib
 import os
 from dataclasses import dataclass
+from typing import Any, Callable
 
 #: Exit code used by the deliberate-crash test hook (visible in worker
 #: post-mortems; any nonzero code breaks the pool the same way).
@@ -30,98 +34,20 @@ CRASH_EXIT_CODE = 17
 
 
 @dataclass(frozen=True)
-class ChaosCampaignTask:
-    """One seeded chaos campaign (:func:`repro.faults.chaos.run_one`)."""
+class Task:
+    """One unit of work: ``fn(*args)``, with ``fn`` a ``"module:function"``."""
 
-    campaign_seed: int
-    index: int
+    fn: str
+    args: tuple = ()
     crash_token: str | None = None
 
 
-@dataclass(frozen=True)
-class FleetCampaignTask:
-    """One seeded fleet chaos campaign
-    (:func:`repro.fleet.campaign.run_one`)."""
-
-    campaign_seed: int
-    index: int
-    machines: int
-    crash_token: str | None = None
-
-
-@dataclass(frozen=True)
-class CampaignAttackTask:
-    """One adversary attack on one fresh deployment
-    (:func:`repro.core.scenarios.run_one_attack`)."""
-
-    platform: str
-    roster_index: int
-    seed: int | None = None
-    crash_token: str | None = None
-
-
-@dataclass(frozen=True)
-class BenchTask:
-    """One suite row in one interpreter mode
-    (:func:`repro.core.bench.run_one`)."""
-
-    suite_index: int
-    iterations: int
-    mode: str  # "fast" (two samples) | "slow" (one reference sample)
-    traces: bool = True  # trace compilation for the fast samples
-    crash_token: str | None = None
-
-
-@dataclass(frozen=True)
-class BatchBenchTask:
-    """One batch-suite row in one engine leg
-    (:func:`repro.core.bench.run_batch_one`)."""
-
-    row_index: int
-    batch: int
-    steps: int
-    mode: str  # "scalar" (per-lane core.run) | "batch" (lockstep engine)
-    crash_token: str | None = None
-
-
-@dataclass(frozen=True)
-class FuzzBatchTask:
-    """One coverage-guided fuzz batch
-    (:func:`repro.fuzz.campaign.run_one_batch`)."""
-
-    batch_seed: int
-    index: int
-    count: int
-    max_steps: int
-    crash_token: str | None = None
-
-
-@dataclass(frozen=True)
-class ServeCellTask:
-    """One seeded cell of the multi-tenant serve campaign
-    (:func:`repro.serve.load.run_one_cell`)."""
-
-    cell_seed: int
-    index: int
-    count: int
-    machines: int
-    queue_cap: int
-    budget: int
-    engine: str = "trace"
-    crash_token: str | None = None
-
-
-@dataclass(frozen=True)
-class WarmupTask:
-    """Pre-loads the simulation stack in a fresh worker.
-
-    Submitted once per worker before timing starts, so interpreter
-    start-up and the numpy/repro import tax land outside the measured
-    window — the scaling sweep measures sharded *execution*, with pool
-    spawn cost reported separately.
-    """
-
-    worker_hint: int = 0
+def resolve(name: str) -> Callable[..., Any]:
+    """The function a ``"module:function"`` name refers to."""
+    module_name, _, attribute = name.partition(":")
+    if not module_name or not attribute:
+        raise ValueError(f"task function {name!r} is not 'module:function'")
+    return getattr(importlib.import_module(module_name), attribute)
 
 
 def _maybe_crash(token: str | None) -> None:
@@ -136,54 +62,31 @@ def _maybe_crash(token: str | None) -> None:
     os._exit(CRASH_EXIT_CODE)
 
 
-def execute_task(task) -> dict:
-    """Run one task descriptor to completion; returns a plain dict."""
-    _maybe_crash(getattr(task, "crash_token", None))
-    if isinstance(task, ChaosCampaignTask):
-        from repro.faults.chaos import run_one
+def execute_task(task: Task) -> Any:
+    """Run one task to completion in this process; returns its result."""
+    _maybe_crash(task.crash_token)
+    return resolve(task.fn)(*task.args)
 
-        return run_one(task.campaign_seed, task.index)
-    if isinstance(task, FleetCampaignTask):
-        from repro.fleet.campaign import run_one
 
-        return run_one(task.campaign_seed, task.index, task.machines)
-    if isinstance(task, CampaignAttackTask):
-        from repro.core.scenarios import run_one_attack
+def warm_up_worker() -> dict:
+    """Pre-load the simulation stack in a fresh worker.
 
-        return run_one_attack(task.platform, task.roster_index,
-                              seed=task.seed)
-    if isinstance(task, BenchTask):
-        from repro.core.bench import run_one
+    Submitted once per worker before timing starts, so interpreter
+    start-up and the numpy/repro import tax land outside the measured
+    window — the scaling sweep measures sharded *execution*, with pool
+    spawn cost reported separately."""
+    import repro.core.sandbox  # noqa: F401  (pre-load the stack)
+    from repro.parallel.pool import WORKER_THREAD_PINS
 
-        return run_one(task.suite_index, task.iterations, task.mode,
-                       traces=task.traces)
-    if isinstance(task, BatchBenchTask):
-        from repro.core.bench import run_batch_one
+    return {
+        "ready": True,
+        "pid": os.getpid(),
+        # What the worker's numeric thread pools actually see, so a
+        # regression test can assert the initializer pinned them.
+        "thread_pins": {key: os.environ.get(key)
+                        for key in sorted(WORKER_THREAD_PINS)},
+    }
 
-        return run_batch_one(task.row_index, task.batch, task.steps,
-                             task.mode)
-    if isinstance(task, FuzzBatchTask):
-        from repro.fuzz.campaign import run_one_batch
 
-        return run_one_batch(task.batch_seed, task.index, task.count,
-                             max_steps=task.max_steps)
-    if isinstance(task, ServeCellTask):
-        from repro.serve.load import run_one_cell
-
-        return run_one_cell(task.cell_seed, task.index, task.count,
-                            machines=task.machines,
-                            queue_cap=task.queue_cap,
-                            budget=task.budget, engine=task.engine)
-    if isinstance(task, WarmupTask):
-        import repro.core.sandbox  # noqa: F401  (pre-load the stack)
-        from repro.parallel.pool import WORKER_THREAD_PINS
-
-        return {
-            "ready": True,
-            "pid": os.getpid(),
-            # What the worker's numeric thread pools actually see, so a
-            # regression test can assert the initializer pinned them.
-            "thread_pins": {key: os.environ.get(key)
-                            for key in sorted(WORKER_THREAD_PINS)},
-        }
-    raise TypeError(f"unknown task descriptor {type(task).__name__}")
+#: The task :meth:`ShardedRunner.warm_up` submits to every worker.
+WARMUP = Task("repro.parallel.tasks:warm_up_worker")

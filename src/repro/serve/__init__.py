@@ -25,9 +25,6 @@ from repro.serve.admission import AdmissionDecision, admit
 from repro.serve.load import (
     SERVE_SCHEMA,
     assemble_serve_report,
-    derive_cell_seeds,
-    plan_cells,
-    run_one_cell,
     run_serve,
 )
 from repro.serve.pool import ENGINES, MachinePool, machine_fingerprint
@@ -54,12 +51,9 @@ __all__ = [
     "admit",
     "assemble_serve_report",
     "build_program",
-    "derive_cell_seeds",
     "generate_requests",
     "machine_fingerprint",
     "pick_next",
-    "plan_cells",
     "run_cell",
-    "run_one_cell",
     "run_serve",
 ]

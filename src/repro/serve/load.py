@@ -1,10 +1,10 @@
 """The seeded load generator and the ``repro.serve/1`` report.
 
 A campaign of ``load`` requests is split into independently seeded cells
-(:func:`plan_cells` + :func:`derive_cell_seeds`, the same scheme every
-other parallel campaign in the repo uses), each run by
-:func:`repro.serve.service.run_cell`.  :func:`assemble_serve_report`
-recomputes every aggregate from the per-cell results, so the report is a
+(:mod:`repro.seeding`, the same scheme every other sharded campaign in the
+repo uses), each run by :func:`repro.serve.service.run_cell`.
+:func:`assemble_serve_report` recomputes every aggregate from the
+per-cell results, so the report is a
 pure function of ``(seed, load, config)`` — byte-identical whether the
 cells ran sequentially, across N workers, or survived a worker crash.
 
@@ -14,8 +14,7 @@ timing summary to stderr, per the ``repro.bench/1`` convention.
 
 from __future__ import annotations
 
-import random
-
+from repro.seeding import derive_seeds, split_sizes
 from repro.serve.service import OUTCOMES, ServiceConfig, run_cell
 
 SERVE_SCHEMA = "repro.serve/1"
@@ -23,34 +22,6 @@ SERVE_SCHEMA = "repro.serve/1"
 #: Default requests per cell: big enough that the seeded mix exercises
 #: every profile, small enough that a 1000-request load shards well.
 DEFAULT_CELL_SIZE = 50
-
-
-def derive_cell_seeds(seed: int, cells: int) -> list[int]:
-    """Per-cell seeds from the master seed (order defines cell identity)."""
-    master = random.Random(seed)
-    return [master.randrange(2 ** 32) for _ in range(cells)]
-
-
-def plan_cells(load: int, cell_size: int) -> list[int]:
-    """Split ``load`` requests into cell sizes (last cell may be short)."""
-    if load <= 0:
-        raise ValueError("load must be positive")
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
-    full, tail = divmod(load, cell_size)
-    sizes = [cell_size] * full
-    if tail:
-        sizes.append(tail)
-    return sizes
-
-
-def run_one_cell(cell_seed: int, index: int, count: int, *,
-                 machines: int = 4, queue_cap: int = 6,
-                 budget: int = 4000, engine: str = "trace") -> dict:
-    """One dispatchable unit of serve work (see ``ServeCellTask``)."""
-    config = ServiceConfig(machines=machines, queue_cap=queue_cap,
-                           budget_cycles=budget, engine=engine)
-    return run_cell(cell_seed, index, count, config)
 
 
 def _nearest_rank(sorted_values: list[int], q: int) -> int:
@@ -159,8 +130,8 @@ def run_serve(seed: int, load: int, *, cell_size: int = DEFAULT_CELL_SIZE,
               config: ServiceConfig | None = None) -> dict:
     """Sequential reference driver for a whole load campaign."""
     config = config or ServiceConfig()
-    sizes = plan_cells(load, cell_size)
-    seeds = derive_cell_seeds(seed, len(sizes))
+    sizes = split_sizes(load, cell_size)
+    seeds = derive_seeds(seed, len(sizes))
     cells = [
         run_cell(cell_seed, index, count, config)
         for index, (cell_seed, count) in enumerate(zip(seeds, sizes))

@@ -2,10 +2,11 @@
 
 A *cell* is an independently seeded slice of the load campaign: its own
 arrival schedule, its own machine pool, its own virtual timeline.  Cells
-are the unit of parallelism (:class:`repro.parallel.tasks.ServeCellTask`),
-and everything inside one is a pure function of ``(cell_seed, count,
-config)`` — no wall-clock, no OS state — which is what makes the merged
-``repro.serve/1`` report byte-identical at any ``--jobs``.
+are the unit of parallelism (:func:`run_cell` is the task ``repro serve
+--jobs N`` ships to worker processes), and everything inside one is a
+pure function of ``(cell_seed, count, config)`` — no wall-clock, no OS
+state — which is what makes the merged ``repro.serve/1`` report
+byte-identical at any ``--jobs``.
 
 Pipeline per request (section 3.3's admission story, made operational):
 

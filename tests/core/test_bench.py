@@ -199,11 +199,10 @@ class TestBenchCli:
     def test_batch_must_be_positive(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(bench, "SUITE", self.TINY_SUITE)
         out = str(tmp_path / "BENCH_hw.json")
-        assert main(["bench", "--quick", "--batch", "0", "--out", out,
-                     "--no-ledger"]) == 0  # 0 = batch suite off
+        # --batch 0 turns the batch suite off.
+        assert main(["bench", "--quick", "--batch", "0", "--out", out]) == 0
         assert json.loads(open(out).read())["batch"] is None
-        assert main(["bench", "--quick", "--batch", "-3", "--out", out,
-                     "--no-ledger"]) == 2
+        assert main(["bench", "--quick", "--batch", "-3", "--out", out]) == 2
 
     def test_cycle_mismatch_fails_the_run(self, tmp_path, monkeypatch,
                                           capsys):
@@ -219,7 +218,6 @@ class TestBenchCli:
             bench, "SUITE",
             (("broken", "guillotine", broken_runner, 100, 100),))
         out = tmp_path / "BENCH_hw.json"
-        assert main(["bench", "--quick", "--out", str(out),
-                     "--no-ledger"]) == 1
+        assert main(["bench", "--quick", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "diverged" in captured.err

@@ -9,30 +9,30 @@ import pytest
 from repro.fleet.campaign import (
     FLEET_SCHEMA,
     assemble_report,
-    derive_campaign_seeds,
     run_fleet,
-    run_one,
+    run_fleet_campaign,
 )
+from repro.seeding import derive_seeds
 
 MASTER_SEED = 7
 
 
 @pytest.fixture(scope="module")
 def campaign_run():
-    return run_one(derive_campaign_seeds(MASTER_SEED, 1)[0], 0)
+    return run_fleet_campaign(derive_seeds(MASTER_SEED, 1)[0], 0)
 
 
 class TestDeterminism:
     def test_same_seed_same_run(self, campaign_run):
-        again = run_one(derive_campaign_seeds(MASTER_SEED, 1)[0], 0)
+        again = run_fleet_campaign(derive_seeds(MASTER_SEED, 1)[0], 0)
         assert campaign_run == again
         assert (json.dumps(campaign_run, sort_keys=True)
                 == json.dumps(again, sort_keys=True))
 
     def test_seed_derivation_is_stable_and_prefix_closed(self):
-        seeds = derive_campaign_seeds(MASTER_SEED, 4)
-        assert seeds == derive_campaign_seeds(MASTER_SEED, 4)
-        assert seeds[:2] == derive_campaign_seeds(MASTER_SEED, 2)
+        seeds = derive_seeds(MASTER_SEED, 4)
+        assert seeds == derive_seeds(MASTER_SEED, 4)
+        assert seeds[:2] == derive_seeds(MASTER_SEED, 2)
         assert len(set(seeds)) == 4
 
 
@@ -61,7 +61,7 @@ class TestCampaignCoverage:
 
 class TestReportAssembly:
     def test_merge_is_order_independent(self, campaign_run):
-        other = run_one(derive_campaign_seeds(MASTER_SEED, 2)[1], 1)
+        other = run_fleet_campaign(derive_seeds(MASTER_SEED, 2)[1], 1)
         forward = assemble_report(MASTER_SEED, 3, 2, [campaign_run, other])
         reverse = assemble_report(MASTER_SEED, 3, 2, [other, campaign_run])
         assert forward == reverse

@@ -8,14 +8,13 @@ from repro.fuzz.campaign import (
     DEFAULT_BATCH_SIZE,
     FUZZ_SCHEMA,
     assemble_fuzz_report,
-    derive_batch_seeds,
-    plan_batches,
     run_fuzz,
     run_one_batch,
 )
-from repro.parallel.fabric import run_fuzz_fabric
 from repro.parallel.merge import canonical_bytes
-from repro.parallel.tasks import FuzzBatchTask, execute_task
+from repro.parallel.tasks import Task, execute_task
+from repro.seeding import derive_seeds, split_sizes
+from tests.sharded import run_fuzz_sharded
 
 SEED = 42
 COUNT = 50
@@ -28,38 +27,38 @@ def sequential_report():
 
 class TestPlanBatches:
     def test_even_split(self):
-        assert plan_batches(100, 25) == [25, 25, 25, 25]
+        assert split_sizes(100, 25) == [25, 25, 25, 25]
 
     def test_short_last_batch(self):
-        assert plan_batches(101, 25) == [25, 25, 25, 25, 1]
+        assert split_sizes(101, 25) == [25, 25, 25, 25, 1]
 
     def test_single_short_batch(self):
-        assert plan_batches(10, 25) == [10]
+        assert split_sizes(10, 25) == [10]
 
     def test_sizes_sum_to_count(self):
         for count in (1, 24, 25, 26, 99, 250):
-            assert sum(plan_batches(count)) == count
+            assert sum(split_sizes(count, DEFAULT_BATCH_SIZE)) == count
 
     def test_invalid_arguments_raise(self):
         with pytest.raises(ValueError):
-            plan_batches(0)
+            split_sizes(0, DEFAULT_BATCH_SIZE)
         with pytest.raises(ValueError):
-            plan_batches(10, 0)
+            split_sizes(10, 0)
 
 
 class TestSeedDerivation:
     def test_matches_the_chaos_style_derivation(self):
         master = random.Random(SEED)
         expected = [master.randrange(2 ** 32) for _ in range(4)]
-        assert derive_batch_seeds(SEED, 4) == expected
+        assert derive_seeds(SEED, 4) == expected
 
     def test_prefix_stable(self):
         # Growing the campaign must not reseed earlier batches.
-        assert derive_batch_seeds(SEED, 8)[:4] == derive_batch_seeds(SEED, 4)
+        assert derive_seeds(SEED, 8)[:4] == derive_seeds(SEED, 4)
 
     def test_zero_batches_raise(self):
         with pytest.raises(ValueError):
-            derive_batch_seeds(SEED, 0)
+            derive_seeds(SEED, 0)
 
 
 class TestRunOneBatch:
@@ -71,7 +70,7 @@ class TestRunOneBatch:
         assert first["programs"] == 10
 
     def test_execute_task_dispatches_to_run_one_batch(self):
-        task = FuzzBatchTask(777, 2, 10, 600)
+        task = Task("repro.fuzz.campaign:run_one_batch", (777, 2, 10, 600))
         assert execute_task(task) == run_one_batch(777, 2, 10,
                                                    max_steps=600)
 
@@ -107,17 +106,17 @@ class TestReportAssembly:
 
 class TestJobsIdentity:
     def test_jobs_one_takes_the_sequential_path(self, sequential_report):
-        report, timing = run_fuzz_fabric(SEED, COUNT, jobs=1)
+        report, timing = run_fuzz_sharded(SEED, COUNT, jobs=1)
         assert timing["mode"] == "sequential"
         assert report == sequential_report
 
     def test_sharded_report_is_byte_identical(self, sequential_report):
-        report, timing = run_fuzz_fabric(SEED, COUNT, jobs=2)
+        report, timing = run_fuzz_sharded(SEED, COUNT, jobs=2)
         assert timing["mode"] == "parallel"
         assert canonical_bytes(report) == canonical_bytes(sequential_report)
 
     def test_single_batch_workload_stays_sequential(self):
         # One batch cannot be sharded; jobs>1 must fall back cleanly.
-        report, timing = run_fuzz_fabric(SEED, 10, jobs=4)
+        report, timing = run_fuzz_sharded(SEED, 10, jobs=4)
         assert timing["mode"] == "sequential"
         assert report == run_fuzz(SEED, 10)

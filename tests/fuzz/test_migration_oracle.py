@@ -97,6 +97,31 @@ class TestMigrationEquivalence:
             migration_probe([0] * (PAGE_SIZE + 1))
 
 
+#: Programs whose wake-up check on a parked (WFI) core is counted step
+#: ``MIGRATION_SPLIT_STEPS``: the first leg ends on it with
+#: ``steps == split``, and a second leg would repeat the check.
+WFI_AT_THE_SPLIT = {
+    "nop35-wfi": assemble([isa.nop()] * 35 + [isa.wfi()]).words,
+    "shrunk-fuzz-divergence": (
+        0x10700000000000a2, 0, 0x1050000000000008, 0, 0,
+        0x1a550000ffffffff, 0x3405000000000003, 0x4200000000000000,
+    ),
+}
+
+
+class TestWakeUpCheckAtTheSplit:
+    @pytest.mark.parametrize("name", sorted(WFI_AT_THE_SPLIT))
+    def test_parked_core_is_not_woken_twice(self, name):
+        words = WFI_AT_THE_SPLIT[name]
+        fast = execute_program(words, fast_path=True)
+        assert fast.steps == MIGRATION_SPLIT_STEPS
+        migrated = migration_probe(words)
+        for field in CHECKPOINT_COMPARE_FIELDS:
+            assert getattr(migrated, field) == getattr(fast, field), field
+        assert "migration:identical" in check_program(
+            words, admission=False).coverage
+
+
 class TestOracleIntegration:
     def test_check_program_reports_migration_coverage(self):
         outcome = check_program(_words("hot-loop"), admission=False)

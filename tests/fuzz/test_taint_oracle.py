@@ -15,8 +15,8 @@ from repro.fuzz.oracles import (
 )
 from repro.hw import isa
 from repro.hw.isa import assemble
-from repro.parallel.fabric import run_fuzz_fabric
 from repro.parallel.merge import canonical_bytes
+from tests.sharded import run_fuzz_sharded
 
 BENIGN = [isa.movi(1, 41), isa.addi(1, 1, 1), isa.halt()]
 
@@ -130,8 +130,8 @@ class TestCampaignCounters:
 
 class TestFabricDeterminism:
     def test_jobs_four_matches_sequential_byte_for_byte(self):
-        sequential, _ = run_fuzz_fabric(99, 30, jobs=1, batch_size=10)
-        parallel, _ = run_fuzz_fabric(99, 30, jobs=4, batch_size=10)
+        sequential, _ = run_fuzz_sharded(99, 30, jobs=1, batch_size=10)
+        parallel, _ = run_fuzz_sharded(99, 30, jobs=4, batch_size=10)
         assert canonical_bytes(parallel) == canonical_bytes(sequential)
         assert sequential["totals"]["noninterference_certified"] == \
             parallel["totals"]["noninterference_certified"]

@@ -12,14 +12,11 @@ import json
 
 import pytest
 
-from repro.parallel.fabric import (
-    run_chaos_fabric,
-    run_fleet_fabric,
-    run_paired_campaign_fabric,
-)
+from repro.parallel.fabric import run_tasks
 from repro.parallel.merge import canonical_bytes
 from repro.parallel.pool import ShardedRunner
-from repro.parallel.tasks import ChaosCampaignTask
+from repro.parallel.tasks import Task
+from tests.sharded import chaos_tasks, run_chaos_sharded, run_fleet_sharded
 
 SEED = 7
 CAMPAIGNS = 4
@@ -35,7 +32,7 @@ def sequential_report() -> dict:
 class TestChaosByteIdentity:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_parallel_report_byte_identical(self, jobs, sequential_report):
-        report, timing = run_chaos_fabric(SEED, CAMPAIGNS, jobs=jobs)
+        report, timing = run_chaos_sharded(SEED, CAMPAIGNS, jobs=jobs)
         assert timing["mode"] == "parallel"
         assert timing["jobs"] == jobs
         assert canonical_bytes(report) == canonical_bytes(sequential_report)
@@ -43,7 +40,7 @@ class TestChaosByteIdentity:
         assert report == sequential_report
 
     def test_timing_never_leaks_into_the_payload(self, sequential_report):
-        report, timing = run_chaos_fabric(SEED, CAMPAIGNS, jobs=2)
+        report, timing = run_chaos_sharded(SEED, CAMPAIGNS, jobs=2)
         assert "wall_seconds" in timing
         assert "wall_seconds" not in json.dumps(report)
 
@@ -53,19 +50,13 @@ class TestCrashRetry:
                                                    sequential_report):
         """A task that hard-kills its first worker (os._exit) is retried
         on a fresh pool and the merged report is unchanged."""
-        from repro.faults.chaos import derive_campaign_seeds
-        from repro.parallel.merge import merge_chaos_runs
+        from repro.faults.chaos import assemble_report
 
         token = str(tmp_path / "crash-once")
-        seeds = derive_campaign_seeds(SEED, CAMPAIGNS)
-        tasks = [
-            ChaosCampaignTask(seed, index,
-                              crash_token=(token if index == 1 else None))
-            for index, seed in enumerate(seeds)
-        ]
+        tasks = chaos_tasks(SEED, CAMPAIGNS, crash={1: token})
         with ShardedRunner(2, task_timeout=300) as runner:
             runs = runner.map(tasks)
-        report = merge_chaos_runs(SEED, CAMPAIGNS, runs)
+        report = assemble_report(SEED, CAMPAIGNS, runs)
         assert report == sequential_report
         assert runner.stats.retries >= 1
         assert runner.stats.pool_restarts >= 1
@@ -73,7 +64,8 @@ class TestCrashRetry:
 
     def test_crash_marker_written_exactly_once(self, tmp_path):
         token = str(tmp_path / "marker")
-        tasks = [ChaosCampaignTask(99, 0, crash_token=token)]
+        tasks = [Task("repro.faults.chaos:run_campaign", (99, 0),
+                      crash_token=token)]
         with ShardedRunner(2, task_timeout=300) as runner:
             runner.map(tasks)
         with open(token, encoding="utf-8") as handle:
@@ -98,11 +90,21 @@ class TestBatchBenchJobsInvariance:
         ]
 
     def test_sharded_suite_matches_sequential(self):
-        from repro.core.bench import run_batch_suite
-        from repro.parallel.fabric import run_batch_bench_fabric
+        from repro.core.bench import (
+            BATCH_QUICK_STEPS,
+            BATCH_SUITE,
+            combine_batch_samples,
+            run_batch_suite,
+        )
 
         sequential = run_batch_suite(2, quick=True)
-        sharded, timing = run_batch_bench_fabric(2, quick=True, jobs=2)
+        tasks = [Task("repro.core.bench:run_batch_one",
+                      (row, 2, BATCH_QUICK_STEPS, mode))
+                 for row in range(len(BATCH_SUITE))
+                 for mode in ("scalar", "batch")]
+        legs, timing = run_tasks(tasks, 2)
+        sharded = [combine_batch_samples(scalar, lockstep)
+                   for scalar, lockstep in zip(legs[::2], legs[1::2])]
         assert timing["mode"] == "parallel"
         assert self._deterministic(sharded) == \
             self._deterministic(sequential)
@@ -116,10 +118,10 @@ class TestWorkerThreadPins:
 
     def test_spawned_workers_see_pinned_env(self):
         from repro.parallel.pool import WORKER_THREAD_PINS
-        from repro.parallel.tasks import WarmupTask
+        from repro.parallel.tasks import WARMUP
 
         with ShardedRunner(2, task_timeout=300) as runner:
-            results = runner.map([WarmupTask(0), WarmupTask(1)])
+            results = runner.map([WARMUP, WARMUP])
         assert len(results) == 2
         for result in results:
             assert result["ready"] is True
@@ -128,7 +130,7 @@ class TestWorkerThreadPins:
 
 
 class TestSequentialGuard:
-    """--jobs 1 must be the legacy code path, not a one-worker pool."""
+    """--jobs 1 runs every task in this process, not in a one-worker pool."""
 
     def test_jobs_one_never_builds_a_runner(self, monkeypatch,
                                             sequential_report):
@@ -138,7 +140,7 @@ class TestSequentialGuard:
             raise AssertionError("jobs=1 constructed a worker pool")
 
         monkeypatch.setattr(fabric_mod, "ShardedRunner", explode)
-        report, timing = run_chaos_fabric(SEED, CAMPAIGNS, jobs=1)
+        report, timing = run_chaos_sharded(SEED, CAMPAIGNS, jobs=1)
         assert timing["mode"] == "sequential"
         assert report == sequential_report
 
@@ -148,15 +150,15 @@ class TestSequentialGuard:
         monkeypatch.setattr(
             fabric_mod, "ShardedRunner",
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("pooled")))
-        report, timing = run_chaos_fabric(3, 1, jobs=8)
+        report, timing = run_chaos_sharded(3, 1, jobs=8)
         assert timing["mode"] == "sequential"
         from repro.faults.chaos import run_chaos
 
         assert report == run_chaos(3, 1)
 
     def test_jobs_one_honours_monkeypatched_campaign(self, monkeypatch):
-        """The legacy path calls chaos.run_campaign through the module
-        global, exactly as before the fabric existed."""
+        """An in-process task resolves chaos.run_campaign through the
+        module global at call time, so a monkeypatched unit is honoured."""
         import repro.faults.chaos as chaos_mod
 
         calls = []
@@ -167,16 +169,27 @@ class TestSequentialGuard:
             return real(seed, index=index)
 
         monkeypatch.setattr(chaos_mod, "run_campaign", spying)
-        run_chaos_fabric(5, 2, jobs=1)
+        run_chaos_sharded(5, 2, jobs=1)
         assert calls == [0, 1]
 
 
 class TestCampaignFabric:
     def test_parallel_matches_sequential(self):
-        from repro.core.scenarios import run_paired_campaign
+        from repro.core.scenarios import (
+            campaign_roster,
+            report_from_results,
+            run_paired_campaign,
+        )
 
         b_seq, g_seq = run_paired_campaign(seed=11)
-        b_par, g_par, timing = run_paired_campaign_fabric(seed=11, jobs=2)
+        roster = len(campaign_roster(11))
+        tasks = [Task("repro.core.scenarios:run_one_attack",
+                      (platform, index, 11))
+                 for platform in ("baseline", "guillotine")
+                 for index in range(roster)]
+        results, timing = run_tasks(tasks, 2)
+        b_par = report_from_results("baseline", results[:roster])
+        g_par = report_from_results("guillotine", results[roster:])
         assert timing["mode"] == "parallel"
         assert b_par.to_dict() == b_seq.to_dict()
         assert g_par.to_dict() == g_seq.to_dict()
@@ -184,8 +197,8 @@ class TestCampaignFabric:
 
 class TestFleetByteIdentity:
     """The fleet campaign driver rides the same fabric contract: sharded
-    execution is byte-identical to sequential, and ``--jobs 1`` is the
-    legacy code path."""
+    execution is byte-identical to sequential, and ``--jobs 1`` builds no
+    pool."""
 
     FLEET_CAMPAIGNS = 2
 
@@ -196,7 +209,7 @@ class TestFleetByteIdentity:
         return run_fleet(SEED, campaigns=self.FLEET_CAMPAIGNS)
 
     def test_parallel_report_byte_identical(self, fleet_sequential):
-        report, timing = run_fleet_fabric(
+        report, timing = run_fleet_sharded(
             SEED, self.FLEET_CAMPAIGNS, 3, jobs=2)
         assert timing["mode"] == "parallel"
         assert timing["jobs"] == 2
@@ -211,7 +224,7 @@ class TestFleetByteIdentity:
             raise AssertionError("jobs=1 constructed a worker pool")
 
         monkeypatch.setattr(fabric_mod, "ShardedRunner", explode)
-        report, timing = run_fleet_fabric(
+        report, timing = run_fleet_sharded(
             SEED, self.FLEET_CAMPAIGNS, 3, jobs=1)
         assert timing["mode"] == "sequential"
         assert report == fleet_sequential
@@ -226,16 +239,18 @@ class TestBenchTraceByteIdentity:
     sharded at ``--jobs 2`` must therefore reproduce the sequential
     report byte-for-byte, trace stats included."""
 
-    def test_jobs_two_matches_jobs_one_including_trace_stats(self):
-        from repro.core.bench import suite_report
-        from repro.parallel.fabric import run_bench_fabric
+    def test_jobs_two_matches_jobs_one_including_trace_stats(
+            self, tmp_path, capsys):
+        from repro.__main__ import main
 
-        seq_results, seq_timing = run_bench_fabric(quick=True, jobs=1)
-        par_results, par_timing = run_bench_fabric(quick=True, jobs=2)
-        assert seq_timing["mode"] == "sequential"
-        assert par_timing["mode"] == "parallel"
-        seq = suite_report(seq_results, quick=True)
-        par = suite_report(par_results, quick=True)
+        reports = {}
+        for jobs, mode in (("1", "sequential"), ("2", "parallel")):
+            out = tmp_path / f"bench-jobs{jobs}.json"
+            assert main(["bench", "--quick", "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            assert f"jobs={jobs}, {mode}" in capsys.readouterr().out
+            reports[jobs] = json.loads(out.read_text())
+        seq, par = reports["1"], reports["2"]
         assert canonical_bytes(par) == canonical_bytes(seq)
         # The byte-compare is only meaningful if the trace counters are
         # actually in the compared view and actually engaged.

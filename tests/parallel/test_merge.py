@@ -1,15 +1,10 @@
-"""The determinism contract: views, canonical bytes, merge functions."""
+"""The determinism contract: views, canonical bytes, report assembly."""
 
 from __future__ import annotations
 
 import json
 
-from repro.parallel.merge import (
-    canonical_bytes,
-    deterministic_view,
-    merge_campaign_results,
-    merge_chaos_runs,
-)
+from repro.parallel.merge import canonical_bytes, deterministic_view
 
 
 class TestDeterministicView:
@@ -53,28 +48,30 @@ class TestDeterministicView:
 
 class TestMergeFunctions:
     def test_chaos_merge_reorders_shards_by_index(self):
-        from repro.faults.chaos import derive_campaign_seeds, run_chaos, run_one
+        from repro.faults.chaos import assemble_report, run_campaign, run_chaos
+        from repro.seeding import derive_seeds
 
-        seeds = derive_campaign_seeds(9, 3)
-        runs = [run_one(seed, index) for index, seed in enumerate(seeds)]
+        seeds = derive_seeds(9, 3)
+        runs = [run_campaign(seed, index) for index, seed in enumerate(seeds)]
         shuffled = [runs[2], runs[0], runs[1]]
-        merged = merge_chaos_runs(9, 3, shuffled)
+        merged = assemble_report(9, 3, shuffled)
         assert merged == run_chaos(9, 3)
 
     def test_campaign_merge_matches_sequential(self):
         from repro.core.scenarios import (
             campaign_roster,
+            report_from_results,
             run_one_attack,
             run_paired_campaign,
         )
 
         roster_size = len(campaign_roster(4))
         b_seq, g_seq = run_paired_campaign(seed=4)
-        baseline = merge_campaign_results(
+        baseline = report_from_results(
             "baseline",
             [run_one_attack("baseline", i, seed=4)
              for i in range(roster_size)])
-        guillotine = merge_campaign_results(
+        guillotine = report_from_results(
             "guillotine",
             [run_one_attack("guillotine", i, seed=4)
              for i in range(roster_size)])

@@ -10,15 +10,17 @@ the sequential path produces.
 import pytest
 
 from repro.faults.chaos import assemble_report, run_chaos
-from repro.fuzz.campaign import (
-    assemble_fuzz_report,
-    derive_batch_seeds,
-    run_fuzz,
-    run_one_batch,
-)
-from repro.parallel.merge import canonical_bytes, merge_fuzz_batches
+from repro.fuzz.campaign import assemble_fuzz_report, run_fuzz, run_one_batch
+from repro.parallel.merge import canonical_bytes
 from repro.parallel.pool import ShardedRunner
-from repro.parallel.tasks import ChaosCampaignTask, FuzzBatchTask
+from repro.parallel.tasks import Task
+from repro.seeding import derive_seeds
+
+
+def fuzz_task(batch_seed: int, index: int, count: int,
+              crash_token: str | None = None) -> Task:
+    return Task("repro.fuzz.campaign:run_one_batch",
+                (batch_seed, index, count, 600), crash_token=crash_token)
 
 
 class TestEmptyShard:
@@ -46,18 +48,17 @@ class TestEmptyShard:
 
 class TestSingleTaskShard:
     def test_one_fuzz_batch_through_a_two_worker_pool(self):
-        (seed,) = derive_batch_seeds(11, 1)
+        (seed,) = derive_seeds(11, 1)
         with ShardedRunner(2, task_timeout=300) as runner:
-            runs = runner.map([FuzzBatchTask(seed, 0, 10, 600)])
-        report = merge_fuzz_batches(11, 10, 25, 600, runs)
+            runs = runner.map([fuzz_task(seed, 0, 10)])
+        report = assemble_fuzz_report(11, 10, 25, 600, runs)
         assert report == run_fuzz(11, 10)
 
     def test_one_chaos_campaign_through_a_two_worker_pool(self):
-        from repro.faults.chaos import derive_campaign_seeds
-
-        (seed,) = derive_campaign_seeds(11, 1)
+        (seed,) = derive_seeds(11, 1)
         with ShardedRunner(2, task_timeout=300) as runner:
-            runs = runner.map([ChaosCampaignTask(seed, 0)])
+            runs = runner.map([Task("repro.faults.chaos:run_campaign",
+                                    (seed, 0))])
         assert assemble_report(11, 1, runs) == run_chaos(11, 1)
 
 
@@ -69,25 +70,24 @@ class TestAllShardsRetried:
             self, tmp_path, batches):
         count = batches * 5
         sequential = run_fuzz(99, count, batch_size=5)
-        seeds = derive_batch_seeds(99, batches)
+        seeds = derive_seeds(99, batches)
         tasks = [
-            FuzzBatchTask(seed, index, 5, 600,
-                          crash_token=str(tmp_path / f"tok{index}"))
+            fuzz_task(seed, index, 5,
+                      crash_token=str(tmp_path / f"tok{index}"))
             for index, seed in enumerate(seeds)
         ]
         with ShardedRunner(2, task_timeout=300) as runner:
             runs = runner.map(tasks)
-        report = merge_fuzz_batches(99, count, 5, 600, runs)
+        report = assemble_fuzz_report(99, count, 5, 600, runs)
         assert canonical_bytes(report) == canonical_bytes(sequential)
         assert runner.stats.retries >= batches
         assert runner.stats.tasks_completed == batches
 
     def test_every_crash_token_fired_exactly_once(self, tmp_path):
-        seeds = derive_batch_seeds(99, 2)
+        seeds = derive_seeds(99, 2)
         tokens = [tmp_path / "tok0", tmp_path / "tok1"]
         tasks = [
-            FuzzBatchTask(seed, index, 5, 600,
-                          crash_token=str(tokens[index]))
+            fuzz_task(seed, index, 5, crash_token=str(tokens[index]))
             for index, seed in enumerate(seeds)
         ]
         with ShardedRunner(2, task_timeout=300) as runner:
@@ -98,9 +98,8 @@ class TestAllShardsRetried:
 
 class TestRetriedResultsAreIdentical:
     def test_a_retried_batch_equals_a_clean_run(self, tmp_path):
-        (seed,) = derive_batch_seeds(5, 1)
-        task = FuzzBatchTask(seed, 0, 5, 600,
-                             crash_token=str(tmp_path / "tok"))
+        (seed,) = derive_seeds(5, 1)
+        task = fuzz_task(seed, 0, 5, crash_token=str(tmp_path / "tok"))
         with ShardedRunner(2, task_timeout=300) as runner:
             (run,) = runner.map([task])
         assert run == run_one_batch(seed, 0, 5, max_steps=600)

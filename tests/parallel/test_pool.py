@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.parallel.pool import MAX_AUTO_JOBS, PoolStats, ShardedRunner, resolve_jobs
-from repro.parallel.tasks import (
-    BenchTask,
-    CampaignAttackTask,
-    ChaosCampaignTask,
-    WarmupTask,
-    execute_task,
-)
+from repro.parallel.tasks import WARMUP, Task, execute_task
+
+
+def bench_task(suite_index: int, iterations: int, mode: str,
+               traces: bool = True) -> Task:
+    return Task("repro.core.bench:run_one",
+                (suite_index, iterations, mode, traces))
 
 
 class TestResolveJobs:
@@ -61,29 +61,27 @@ class TestExecuteTaskDispatch:
     """execute_task is the worker entry point; exercise it in-process."""
 
     def test_chaos_task_runs_a_campaign(self):
-        from repro.faults.chaos import run_one
+        from repro.faults.chaos import run_campaign
 
-        task = ChaosCampaignTask(campaign_seed=1234, index=3)
-        assert execute_task(task) == run_one(1234, 3)
+        task = Task("repro.faults.chaos:run_campaign", (1234, 3))
+        assert execute_task(task) == run_campaign(1234, 3)
 
     def test_campaign_task_runs_one_attack(self):
         from repro.core.scenarios import run_one_attack
 
-        task = CampaignAttackTask("guillotine", 0, seed=5)
+        task = Task("repro.core.scenarios:run_one_attack",
+                    ("guillotine", 0, 5))
         assert execute_task(task) == run_one_attack("guillotine", 0, seed=5)
 
     def test_bench_task_shape(self):
-        unit = execute_task(BenchTask(suite_index=0, iterations=1,
-                                      mode="slow"))
+        unit = execute_task(bench_task(0, 1, "slow"))
         assert unit["suite_index"] == 0
         assert unit["mode"] == "slow"
         assert len(unit["samples"]) == 1
 
     def test_bench_task_traces_flag_controls_trace_counters(self):
-        on = execute_task(BenchTask(suite_index=0, iterations=200,
-                                    mode="fast", traces=True))
-        off = execute_task(BenchTask(suite_index=0, iterations=200,
-                                     mode="fast", traces=False))
+        on = execute_task(bench_task(0, 200, "fast", traces=True))
+        off = execute_task(bench_task(0, 200, "fast", traces=False))
         on_sample, off_sample = on["samples"][0], off["samples"][0]
         # Simulated counters are engine-independent; only the
         # Python-cost trace stats respond to the flag.
@@ -99,7 +97,7 @@ class TestExecuteTaskDispatch:
 
         from repro.parallel.pool import WORKER_THREAD_PINS
 
-        result = execute_task(WarmupTask())
+        result = execute_task(WARMUP)
         assert result["ready"] is True
         assert result["pid"] == os.getpid()
         # In-process the env is whatever the host set; the keys reported
@@ -108,8 +106,9 @@ class TestExecuteTaskDispatch:
         assert set(result["thread_pins"]) == set(WORKER_THREAD_PINS)
 
     def test_unknown_descriptor_rejected(self):
-        with pytest.raises(TypeError):
-            execute_task(object())
+        # A task must name its function as "module:function".
+        with pytest.raises(ValueError):
+            execute_task(Task("repro.faults.chaos"))
 
 
 class TestWorkerInit:
@@ -132,10 +131,11 @@ class TestInlineFallback:
         monkeypatch.setattr(
             runner, "_pool",
             lambda: (_ for _ in ()).throw(OSError("no processes")))
-        from repro.faults.chaos import run_one
+        from repro.faults.chaos import run_campaign
 
-        tasks = [ChaosCampaignTask(77, 0), ChaosCampaignTask(78, 1)]
+        tasks = [Task("repro.faults.chaos:run_campaign", (77, 0)),
+                 Task("repro.faults.chaos:run_campaign", (78, 1))]
         results = runner.map(tasks)
-        assert results == [run_one(77, 0), run_one(78, 1)]
+        assert results == [run_campaign(77, 0), run_campaign(78, 1)]
         assert runner.stats.inline_runs == 2
         runner.close()

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 
 from repro.__main__ import main
-from repro.parallel.fabric import run_serve_fabric
 from repro.serve.load import run_serve
+from tests.sharded import run_serve_sharded
 
 
 def _canonical(report: dict) -> bytes:
@@ -26,10 +26,10 @@ class TestReportDeterminism:
         assert _canonical(first) == _canonical(second)
 
     def test_jobs_two_matches_sequential_byte_for_byte(self):
-        sequential, seq_timing = run_serve_fabric(91, 60, jobs=1,
-                                                  cell_size=20)
-        parallel, par_timing = run_serve_fabric(91, 60, jobs=2,
-                                                cell_size=20)
+        sequential, seq_timing = run_serve_sharded(91, 60, jobs=1,
+                                                   cell_size=20)
+        parallel, par_timing = run_serve_sharded(91, 60, jobs=2,
+                                                 cell_size=20)
         assert _canonical(sequential) == _canonical(parallel)
         assert seq_timing["mode"] == "sequential"
         assert par_timing["mode"] == "parallel"
@@ -41,7 +41,7 @@ class TestReportDeterminism:
         assert "seconds" not in text
 
     def test_single_cell_load_falls_back_to_sequential(self):
-        report, timing = run_serve_fabric(91, 10, jobs=4, cell_size=20)
+        report, timing = run_serve_sharded(91, 10, jobs=4, cell_size=20)
         assert timing["mode"] == "sequential"
         assert report["cells"] == 1
         assert report["requests"] == 10
@@ -50,7 +50,7 @@ class TestReportDeterminism:
 class TestCliDeterminism:
     def test_json_stdout_identical_across_jobs(self, capsys):
         argv = ["serve", "--load", "60", "--seed", "91",
-                "--cell-size", "20", "--json", "--no-ledger"]
+                "--cell-size", "20", "--json"]
         assert main(argv + ["--jobs", "1"]) == 0
         first = capsys.readouterr()
         assert main(argv + ["--jobs", "2"]) == 0
@@ -64,8 +64,7 @@ class TestCliDeterminism:
 
     def test_json_stdout_identical_across_reruns(self, capsys):
         argv = ["serve", "--load", "40", "--seed", "91",
-                "--cell-size", "20", "--jobs", "1", "--json",
-                "--no-ledger"]
+                "--cell-size", "20", "--jobs", "1", "--json"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0

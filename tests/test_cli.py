@@ -204,7 +204,7 @@ class TestServeCommand:
             "--jobs", "1"]
 
     def test_table_mode_runs_a_seeded_load(self, capsys):
-        assert main(self.ARGS + ["--no-ledger"]) == 0
+        assert main(self.ARGS) == 0
         out = capsys.readouterr().out
         assert "outcome" in out and "tenant-" in out
         assert "throughput:" in out and "requests/s" in out
@@ -214,8 +214,7 @@ class TestServeCommand:
         import json
 
         out_path = tmp_path / "serve.json"
-        assert main(self.ARGS + ["--json", "--no-ledger",
-                                 "--out", str(out_path)]) == 0
+        assert main(self.ARGS + ["--json", "--out", str(out_path)]) == 0
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert payload["schema"] == "repro.serve/1"
@@ -226,34 +225,34 @@ class TestServeCommand:
         assert "requests/s" in captured.err
 
     def test_nonpositive_load_is_usage_error(self, capsys):
-        assert main(["serve", "--load", "0", "--no-ledger"]) == 2
+        assert main(["serve", "--load", "0"]) == 2
         assert "--load must be positive" in capsys.readouterr().err
 
     def test_nonpositive_queue_cap_is_usage_error(self, capsys):
-        assert main(["serve", "--queue-cap", "-1", "--no-ledger"]) == 2
+        assert main(["serve", "--queue-cap", "-1"]) == 2
         assert "--queue-cap must be positive" in capsys.readouterr().err
 
     def test_unknown_engine_is_usage_error(self):
         import pytest
 
         with pytest.raises(SystemExit):
-            main(["serve", "--engine", "jit", "--no-ledger"])
+            main(["serve", "--engine", "jit"])
 
     def test_isolation_violation_exits_one(self, capsys, monkeypatch):
-        import repro.parallel.fabric as fabric
+        import repro.serve.load as load
 
-        real = fabric.run_serve_fabric
+        real = load.assemble_serve_report
 
         def doctored(*args, **kwargs):
-            report, timing = real(*args, **kwargs)
+            report = real(*args, **kwargs)
             report["isolation"]["all_isolated"] = False
             report["isolation"]["violations"] = [
                 {"tenant": "tenant-00-batcher",
                  "leaked": "tenant-06-spinner"}]
-            return report, timing
+            return report
 
-        monkeypatch.setattr(fabric, "run_serve_fabric", doctored)
-        assert main(self.ARGS + ["--json", "--no-ledger"]) == 1
+        monkeypatch.setattr(load, "assemble_serve_report", doctored)
+        assert main(self.ARGS + ["--json"]) == 1
         assert "tenant isolation violated" in capsys.readouterr().err
 
     def test_ledger_round_trip_and_gate(self, capsys, tmp_path):
@@ -265,3 +264,62 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "rpmc" in out and "ok" in out
         assert "regression gate: ok" in out
+
+
+def _golden_record() -> dict:
+    import json
+    from pathlib import Path
+
+    corpus = Path(__file__).resolve().parent / "fuzz" / "corpus"
+    return json.loads((corpus / "golden-alu.json").read_text())
+
+
+def _malformed(kind: str) -> str:
+    """The text of one malformed artifact file."""
+    import json
+
+    record = _golden_record()
+    if kind == "top-level-list":
+        return json.dumps([record])
+    if kind == "words-hex-number":
+        record["program"]["words_hex"] = 5
+        return json.dumps(record)
+    if kind == "expected-list":
+        record["expected"] = []
+        return json.dumps(record)
+    if kind == "truncated-ledger":
+        return '{"schema": "repro.ledger/1", "entr'
+    if kind == "ledger-list":
+        return "[]"
+    assert kind == "ledger-without-entries"
+    return json.dumps({"schema": "repro.ledger/1"})
+
+
+class TestMalformedArtifacts:
+    """Every artifact file the CLI reads back fails with
+    ``error: <path>: <reason>`` and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("command, kind, reason", [
+        (command, kind, reason)
+        for command in ("replay", "analyze")
+        for kind, reason in (
+            ("top-level-list", "top level is an array, not an object"),
+            ("words-hex-number",
+             "field program.words_hex is an integer, not an array"),
+            ("expected-list", "field expected is an array, not an object"),
+        )
+    ] + [
+        ("ledger", "truncated-ledger", "not valid JSON"),
+        ("ledger", "ledger-list", "top level is an array, not an object"),
+        ("ledger", "ledger-without-entries", "missing field entries"),
+    ])
+    def test_structured_error_and_exit_two(self, tmp_path, capsys,
+                                           command, kind, reason):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(_malformed(kind))
+        argv = {"replay": ["replay", str(path)],
+                "analyze": ["analyze", "--corpus-dir", str(tmp_path)],
+                "ledger": ["ledger", "--path", str(path)]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: {reason}")
