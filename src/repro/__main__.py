@@ -423,7 +423,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.batch < 0:
         print("error: --batch must be a positive lane count", file=sys.stderr)
         return 2
-    args.out = args.out or bench.DEFAULT_OUTPUT
 
     # Each suite row is a fast leg and a reference leg; each batch row a
     # scalar leg and a lockstep leg.  Legs pair up in task order.
@@ -507,15 +506,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ledger(args: argparse.Namespace) -> int:
+def _read_ledger(path: str) -> dict | None:
+    """The ledger at ``path``, or ``None`` after printing why it is not one
+    as ``error: <path>: <reason>``."""
     from repro.artifacts import ArtifactError
-    from repro.core.ledger import check_regression, load_ledger
+    from repro.core.ledger import load_ledger
 
     try:
-        entries = load_ledger(args.path)["entries"]
+        return load_ledger(path)
     except ArtifactError as exc:
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_ledger(args: argparse.Namespace) -> int:
+    from repro.core.ledger import check_regression
+
+    document = _read_ledger(args.path)
+    if document is None:
         return 2
+    entries = document["entries"]
     if not entries:
         print(f"{args.path}: empty ledger")
         return 0
@@ -906,8 +916,8 @@ def main(argv: list[str] | None = None) -> int:
         help="emit the repro.analysis/2 JSON document")
     bench_parser = _workload(
         subparsers, "bench",
-        "interpreter performance suite (fast vs reference); writes "
-        "BENCH_hw.json unless --out says otherwise",
+        "interpreter performance suite (fast vs reference); writes its "
+        "report only to --out",
         jobs=1, out=None, ledger=True)
     bench_parser.add_argument(
         "--quick", action="store_true",
@@ -1009,6 +1019,10 @@ def main(argv: list[str] | None = None) -> int:
         help="emit a repro.replay-run/1 JSON document")
 
     args = parser.parse_args(argv)
+    # A --ledger the run could not append to fails before the run, not
+    # after it.
+    if getattr(args, "ledger", None) and _read_ledger(args.ledger) is None:
+        return 2
     handlers = {
         "demo": _cmd_demo,
         "campaign": _cmd_campaign,

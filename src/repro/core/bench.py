@@ -16,8 +16,8 @@ ALU loop (pure register traffic), a memory stride (TLB + D-cache
 pressure), a doorbell flood (event-queue pressure on the virtual clock),
 and the full E1 bring-up harness (sandbox construction + the Figure-1
 invariant sweep, Guillotine only — the baseline has no Figure-1 topology
-to check).  Results are emitted as ``repro.bench/1`` JSON, by default to
-``BENCH_hw.json`` at the repository root.
+to check).  Results are emitted as ``repro.bench/1`` JSON, written to a
+file only when ``--out PATH`` names one.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from repro.hw.machine import (
 
 #: JSON schema identifier for the bench report (bump on incompatible change).
 BENCH_SCHEMA = "repro.bench/1"
-
-#: Default output path, relative to the current working directory.
-DEFAULT_OUTPUT = "BENCH_hw.json"
 
 
 @contextmanager
@@ -748,7 +745,7 @@ def suite_report(results: list[BenchResult], *, quick: bool,
     }
 
 
-def write_report(report: dict, path: str = DEFAULT_OUTPUT) -> None:
+def write_report(report: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

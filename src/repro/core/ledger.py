@@ -1,7 +1,7 @@
 """The committed performance ledger: ``BENCH_ledger.json``.
 
 ``BENCH_hw.json`` is a full ``repro.bench/1`` snapshot of *one* run; the
-ledger is the longitudinal view.  Every ``repro bench`` invocation
+ledger is the longitudinal view.  Every ``repro bench --ledger PATH`` run
 appends one summary row — overall speedup, per-machine steps/second,
 decoded/trace hit rates, and the git revision it measured — so the
 repository history carries the interpreter's performance trajectory

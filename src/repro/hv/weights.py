@@ -8,8 +8,10 @@ creating ... weight-containing pages".  That covers weights *in use*
 lives in hypervisor DRAM, so a model that exfiltrates its own disk blocks
 ships ciphertext.
 
-Crypto is simulated (SHA-256 keystream + keyed MAC) per the repository's
-substitution rule: the experiments only need the true properties —
+Crypto is simulated per the repository's substitution rule: a SHAKE-256
+keystream under the vault key bound to the checkpoint's plaintext digest
+(SIV-style, so no two checkpoints share a stream), plus a keyed MAC over
+the ciphertext.  The experiments only need the true properties —
 ciphertext reveals nothing without the key, and any tamper or wrong key is
 detected before weights load.
 """
@@ -23,15 +25,8 @@ from repro.errors import AttestationFailure, PortError
 
 
 def _keystream(key: bytes, length: int) -> bytes:
-    blocks = []
-    produced = 0
-    counter = 0
-    while produced < length:
-        block = hashlib.sha256(key + counter.to_bytes(8, "little")).digest()
-        blocks.append(block)
-        produced += len(block)
-        counter += 1
-    return b"".join(blocks)[:length]
+    """``length`` bytes of domain-separated SHAKE-256 output under ``key``."""
+    return hashlib.shake_256(b"repro.weights.stream|" + key).digest(length)
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -76,10 +71,18 @@ class WeightVault:
 
     # ------------------------------------------------------------------
 
+    def _stream(self, plaintext_digest: str, length: int) -> bytes:
+        """The keystream of the checkpoint with this plaintext digest.
+
+        Binding the digest gives every distinct checkpoint sealed under one
+        key its own stream, so no two of them form a two-time pad."""
+        return _keystream(self._key + b"|" + plaintext_digest.encode(), length)
+
     def seal(self, model_name: str, weights: bytes,
              base_block: int = 0) -> WeightManifest:
         """Encrypt + MAC a checkpoint and write it to the device."""
-        ciphertext = _xor(weights, _keystream(self._key, len(weights)))
+        digest = hashlib.sha256(weights).hexdigest()
+        ciphertext = _xor(weights, self._stream(digest, len(weights)))
         num_blocks = (len(ciphertext) + self._chunk - 1) // self._chunk
         if base_block + num_blocks > self._device.num_blocks:
             raise PortError("checkpoint does not fit on the device")
@@ -95,7 +98,7 @@ class WeightVault:
             base_block=base_block,
             num_blocks=num_blocks,
             total_bytes=len(weights),
-            plaintext_digest=hashlib.sha256(weights).hexdigest(),
+            plaintext_digest=digest,
             mac=_mac(self._key, ciphertext),
         )
 
@@ -120,8 +123,8 @@ class WeightVault:
             raise AttestationFailure(
                 "checkpoint MAC mismatch: tampered blocks or wrong key"
             )
-        plaintext = _xor(ciphertext,
-                         _keystream(self._key, len(ciphertext)))
+        plaintext = _xor(ciphertext, self._stream(manifest.plaintext_digest,
+                                                  len(ciphertext)))
         if hashlib.sha256(plaintext).hexdigest() != manifest.plaintext_digest:
             raise AttestationFailure("checkpoint digest mismatch")
         return plaintext

@@ -181,6 +181,13 @@ class TestBenchCli:
         assert len(json.loads(ledger.read_text())["entries"]) == 1
         assert "TOTAL" in capsys.readouterr().out
 
+    def test_no_report_without_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "SUITE", self.TINY_SUITE)
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--quick", "--jobs", "1"]) == 0
+        assert "TOTAL" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_batch_flag_runs_the_lockstep_suite(self, tmp_path,
                                                 monkeypatch, capsys):
         monkeypatch.setattr(bench, "SUITE", self.TINY_SUITE)

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import AttestationFailure, PortError
 from repro.hv.guest import GuestPortClient
 from repro.hv.hypervisor import GuillotineHypervisor
-from repro.hv.weights import WeightVault
+from repro.hv.weights import WeightVault, _keystream
 from repro.hw.devices import StorageDevice
 from repro.model.gpullm import GpuBackedLlm
 from repro.model.toyllm import ToyLlm
@@ -74,6 +74,24 @@ class TestSealUnseal:
     def test_empty_key_rejected(self, disk):
         with pytest.raises(ValueError):
             WeightVault(disk, b"")
+
+    def test_checkpoints_under_one_key_get_distinct_streams(self, vault):
+        """No two-time pad: with a shared stream, ``c1 ^ c2 == p1 ^ p2``
+        and one known plaintext recovers the other checkpoint."""
+        first = bytes(range(256)) + b"layer-one" * 5
+        second = b"layer-two" * 5 + bytes(reversed(range(256)))
+        m1 = vault.seal("a", first, base_block=0)
+        m2 = vault.seal("b", second, base_block=m1.num_blocks)
+        c1 = vault.read_ciphertext(m1)
+        c2 = vault.read_ciphertext(m2)
+        assert bytes(x ^ y for x, y in zip(c1, c2)) != \
+            bytes(x ^ y for x, y in zip(first, second))
+        assert vault.unseal(m1) == first
+        assert vault.unseal(m2) == second
+
+    def test_keystream_known_answer(self):
+        """Pins the cipher: a change of stream must be a deliberate edit."""
+        assert _keystream(KEY, 16).hex() == "77caf5d1abeba8f04ed124f96d822b41"
 
 
 class TestProvisioning:

@@ -309,9 +309,13 @@ class TestMalformedArtifacts:
             ("expected-list", "field expected is an array, not an object"),
         )
     ] + [
-        ("ledger", "truncated-ledger", "not valid JSON"),
-        ("ledger", "ledger-list", "top level is an array, not an object"),
-        ("ledger", "ledger-without-entries", "missing field entries"),
+        (command, kind, reason)
+        for command in ("ledger", "serve", "bench")
+        for kind, reason in (
+            ("truncated-ledger", "not valid JSON"),
+            ("ledger-list", "top level is an array, not an object"),
+            ("ledger-without-entries", "missing field entries"),
+        )
     ])
     def test_structured_error_and_exit_two(self, tmp_path, capsys,
                                            command, kind, reason):
@@ -319,7 +323,13 @@ class TestMalformedArtifacts:
         path.write_text(_malformed(kind))
         argv = {"replay": ["replay", str(path)],
                 "analyze": ["analyze", "--corpus-dir", str(tmp_path)],
-                "ledger": ["ledger", "--path", str(path)]}[command]
+                "ledger": ["ledger", "--path", str(path)],
+                "serve": ["serve", "--load", "20", "--ledger", str(path)],
+                "bench": ["bench", "--quick", "--jobs", "1",
+                          "--ledger", str(path)]}[command]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {path}: {reason}")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: {reason}")
+        # Refused before the workload ran, and the file left as it was.
+        assert captured.out == ""
+        assert path.read_text() == _malformed(kind)
