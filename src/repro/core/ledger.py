@@ -36,7 +36,13 @@ import json
 import os
 import subprocess
 
-from repro.artifacts import load_document
+from repro.artifacts import (
+    NUMBER,
+    ArtifactError,
+    check_fields,
+    json_name,
+    load_document,
+)
 
 #: JSON schema identifier for the ledger (bump on incompatible change).
 LEDGER_SCHEMA = "repro.ledger/1"
@@ -148,14 +154,51 @@ def serve_entry_from_report(report: dict, *,
     }
 
 
+#: Per row kind, the JSON type of every field ``repro ledger`` prints and
+#: :func:`check_regression` / :func:`_config_key` read.
+_ENTRY_FIELDS = {
+    "bench": {
+        "git_rev": str, "quick": bool, "traces": bool, "speedup": NUMBER,
+        "e1_speedup": (NUMBER, type(None)), "trace_step_rate": NUMBER,
+        "all_deterministic": bool, "all_cycles_match": bool,
+        # Absent on rows written before the batch suite existed.
+        "batch": int, "batch_speedup": NUMBER,
+        "batch_bit_identical": bool,
+    },
+    "serve": {
+        "git_rev": str, "load": int, "cell_size": int, "machines": int,
+        "queue_cap": int, "budget_cycles": int, "engine": str,
+        "throughput_rpmc": NUMBER, "latency_p50": int, "latency_p95": int,
+        "latency_p99": int, "all_isolated": bool,
+    },
+}
+_OPTIONAL_BENCH_FIELDS = ("batch", "batch_speedup", "batch_bit_identical")
+
+
+def _check_entry(entry) -> None:
+    if not isinstance(entry, dict):
+        raise ArtifactError(f"is {json_name(entry)}, not an object")
+    kind = entry.get("kind", "bench")
+    if type(kind) is not str or kind not in _ENTRY_FIELDS:
+        raise ArtifactError(f"field kind is {kind!r}, not 'bench' or 'serve'")
+    check_fields(entry, _ENTRY_FIELDS[kind], _OPTIONAL_BENCH_FIELDS)
+
+
 def load_ledger(path: str = DEFAULT_LEDGER) -> dict:
     """The ledger document at ``path``, or a fresh empty one.
 
-    A file that exists but is not a ``repro.ledger/1`` document raises
-    :class:`repro.artifacts.ArtifactError`."""
+    A file that exists but is not a ``repro.ledger/1`` document, or holds
+    an entry the table or the regression gate cannot read, raises
+    :class:`repro.artifacts.ArtifactError` (``entry <i>: <reason>``)."""
     if not os.path.exists(path):
         return {"schema": LEDGER_SCHEMA, "entries": []}
-    return load_document(path, LEDGER_SCHEMA, {"entries": list})
+    document = load_document(path, LEDGER_SCHEMA, {"entries": list})
+    for index, entry in enumerate(document["entries"]):
+        try:
+            _check_entry(entry)
+        except ArtifactError as exc:
+            raise ArtifactError(f"entry {index}: {exc}") from None
+    return document
 
 
 def _config_key(entry: dict) -> tuple:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.artifacts import ArtifactError, load_document
+from repro.artifacts import ArtifactError, check_items, load_document
 from repro.fuzz.oracles import (
     DEFAULT_MAX_STEPS,
     ProgramOutcome,
@@ -228,16 +228,30 @@ def replay_artifact(artifact: dict) -> ReplayResult:
 
 
 def load_artifact(path: str) -> dict:
-    """Read one artifact from disk, checking the fields replay relies on.
+    """Read one artifact from disk, checking every field that replay and
+    ``analyze --corpus-dir`` read.
 
     Raises :class:`repro.artifacts.ArtifactError` when the file is
-    unreadable, malformed, or shaped unlike a ``repro.replay/1`` record."""
+    unreadable, malformed, or shaped unlike a ``repro.replay/1`` record —
+    including a golden record with nothing to compare (an empty
+    ``expected.record`` would replay as a vacuous pass)."""
     artifact = load_document(path, REPLAY_SCHEMA, {
-        "kind": str, "program": dict, "program.words_hex": list,
-        "expected": dict,
+        "kind": str, "name": str, "max_steps": int,
+        "program": dict, "program.words_hex": list,
+        "expected": dict, "expected.record": dict,
+        "expected.violations": list, "expected.admitted": (bool, type(None)),
+        "expected.coverage": list,
     })
-    if not all(isinstance(word, str) for word in artifact["program"]["words_hex"]):
-        raise ArtifactError("field program.words_hex holds a non-string")
+    expected = artifact["expected"]
+    if artifact["kind"] == "golden" and not expected["record"]:
+        raise ArtifactError("field expected.record is empty")
+    check_items("program.words_hex", artifact["program"]["words_hex"], str)
+    check_items("expected.coverage", expected["coverage"], str)
+    check_items("expected.violations", expected["violations"], dict)
+    if not all(type(v.get("oracle")) is str for v in expected["violations"]):
+        raise ArtifactError(
+            "field expected.violations holds a violation without a string "
+            "oracle")
     return artifact
 
 

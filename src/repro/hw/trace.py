@@ -7,7 +7,8 @@ and fuses it into **one generated Python closure** that executes the whole
 block with a single cycle-accounting flush, one TLB-statistics update, and
 one perf-counter update per trace instead of per instruction.  A trace whose
 terminal branch targets its own head compiles into an in-trace loop, so a
-hot GISA loop costs a handful of Python operations per iteration.
+hot GISA loop of any length — down to a one-instruction ``jmp .`` — costs a
+handful of Python operations per iteration.
 
 Exactness contract (enforced by ``repro bench`` and the fast-vs-reference
 fuzz oracle): simulated cycles, architectural state, fault behaviour, TLB
@@ -62,7 +63,11 @@ _WORD_MASK = (1 << 64) - 1
 
 #: Dispatches of a pc (with no trace) before compilation is attempted.
 TRACE_HEAT_THRESHOLD = 3
-#: Minimum fused instructions (body + terminal) worth a closure.
+#: Minimum fused instructions (body + terminal) worth a closure for a
+#: straight-line superblock.  A self-loop (see :func:`_is_self_loop`)
+#: compiles at any length: its in-trace loop amortises the closure call
+#: over every iteration, which a superblock that exits after one pass
+#: cannot do.
 TRACE_MIN_LENGTH = 3
 #: Heat entries kept per core before the counting dict is reset.
 TRACE_HEAT_LIMIT = 4096
@@ -120,6 +125,15 @@ class _Emitter:
             self.pending_l1i_hits = 0
 
 
+def _is_self_loop(vpc: int, terminal) -> bool:
+    """True when ``terminal`` is a direct jump or branch back to ``vpc``,
+    the superblock's own head: such a trace compiles into an in-trace
+    loop (see :func:`_emit_backedge`)."""
+    return terminal is not None and terminal.op in (
+        Op.JMP, Op.JAL, Op.BEQ, Op.BNE, Op.BLT, Op.BGE
+    ) and terminal.imm == vpc
+
+
 def _discover(core: "Core", vpc: int):
     """Walk the straight-line run at ``vpc``; returns
     ``(body, terminal, ppn, bank, start)`` or ``None`` if uncompilable."""
@@ -166,7 +180,7 @@ def _discover(core: "Core", vpc: int):
             break
         body.append(ins)
     length = len(body) + (1 if terminal is not None else 0)
-    if length < TRACE_MIN_LENGTH:
+    if length < TRACE_MIN_LENGTH and not _is_self_loop(vpc, terminal):
         return None
     return body, terminal, ppn, bank, start
 
@@ -233,9 +247,7 @@ def _compile_source(core: "Core", vpc: int, body, terminal,
     instructions = list(body) + ([terminal] if terminal is not None else [])
     n = len(instructions)
     has_mem = any(i.op in (Op.LOAD, Op.STORE) for i in body)
-    is_loop = terminal is not None and terminal.op in (
-        Op.JMP, Op.JAL, Op.BEQ, Op.BNE, Op.BLT, Op.BGE
-    ) and terminal.imm == vpc
+    is_loop = _is_self_loop(vpc, terminal)
 
     e = _Emitter()
     e.emit("def trace_fn(core, trace, budget):", 0)
@@ -494,7 +506,9 @@ _CODE_CACHE_CAP = 512
 def compile_trace(core: "Core", vpc: int) -> Trace | None:
     """Compile the superblock at ``vpc`` for ``core`` and register it with
     its backing bank.  Returns ``None`` when the location is uncompilable
-    (bad op mix, too short, unmapped, faulted bank)."""
+    (bad op mix, unmapped, faulted bank, or a straight-line superblock
+    shorter than ``TRACE_MIN_LENGTH``; a self-loop compiles at any
+    length)."""
     from repro.hw.core import CoreState
 
     discovered = _discover(core, vpc)

@@ -4,11 +4,12 @@ Traces are the third execution engine (reference interpreter → decoded-
 cache fast path → fused superblocks), and the contract is the same as the
 fast path's: simulated cycles, architectural state, fault behaviour, and
 microarchitectural statistics must be bit-identical across all three.
-These tests pin trace formation (heat threshold), trace hits, bailouts,
-exact invalidation (self-modification, flush, reload, fault injection),
-the watchpoint fallback to single-step dispatch, FIFO eviction on both
-the decoded cache and the trace registry, and EPT (baseline-machine)
-trace dispatch under generation bumps.
+These tests pin trace formation (heat threshold, the length floor and
+its self-loop exception), trace hits, bailouts, exact invalidation
+(self-modification, flush, reload, fault injection), the watchpoint
+fallback to single-step dispatch, FIFO eviction on both the decoded
+cache and the trace registry, and EPT (baseline-machine) trace dispatch
+under generation bumps.
 """
 
 import pytest
@@ -23,7 +24,8 @@ from repro.hw.machine import (
     build_guillotine_machine,
 )
 from repro.hw.memory import Dram, PAGE_SIZE, PageTableEntry
-from repro.hw.trace import TRACE_HEAT_THRESHOLD, VTRACE_CAP
+from repro.hw.trace import TRACE_HEAT_THRESHOLD, TRACE_MIN_LENGTH, VTRACE_CAP
+from repro.serve.pool import machine_fingerprint
 
 #: The canonical hot loop: 2 setup instructions, a 4-instruction loop
 #: body (3 ALU + the back-edge branch), and HALT.
@@ -65,28 +67,47 @@ def _default_engines(monkeypatch):
     monkeypatch.setattr(Core, "trace_jit", True)
 
 
-def _run(program, max_steps=1_000):
+def _run(program, max_steps=1_000, chunk=None):
+    """Run ``program`` for ``max_steps``, in ``Core.run`` calls of at most
+    ``chunk`` steps when given (the way serve slices a guest's budget)."""
     machine, core = _guillotine()
     machine.load_program(core, program)
     core.resume()
-    steps = core.run(max_steps=max_steps)
+    chunk = chunk or max_steps
+    steps = 0
+    while steps < max_steps and core.state is CoreState.RUNNING:
+        steps += core.run(max_steps=min(chunk, max_steps - steps))
     return machine, core, steps
 
 
-def _three_way(program, max_steps=1_000, monkeypatch=None, setup=None):
+def _three_way(program, max_steps=1_000, chunk=None):
     """Run ``program`` under traces, fast-path-only, and the reference
     interpreter; returns the three (machine, core, steps) triples."""
     outcomes = []
     for fast, jit in ((True, True), (True, False), (False, False)):
         Core.fast_path = fast
         Core.trace_jit = jit
-        outcomes.append(_run(program, max_steps))
+        outcomes.append(_run(program, max_steps, chunk))
     return outcomes
 
 
 def _verdict(machine, core, steps):
     return (steps, machine.clock.now, core.instructions_retired,
             list(core.registers), core.pc, core.state)
+
+
+def _simulated(machine):
+    """``machine_fingerprint`` without the counters of Python-side work
+    (decoded cache, traces), which differ between engines by design."""
+    fingerprint = machine_fingerprint(machine)
+    for core in fingerprint["cores"].values():
+        for key in ("decoded_stats", "vtraces", "trace_heat", "trace_stats"):
+            del core[key]
+    for bank in fingerprint["banks"].values():
+        for key in ("decoded_entries", "decoded_evictions", "traces",
+                    "traces_compiled", "trace_invalidations"):
+            del bank[key]
+    return fingerprint
 
 
 class TestTraceFormation:
@@ -163,6 +184,105 @@ class TestTraceFormation:
                 assert steps == budget
                 verdicts.append(_verdict(machine, core, steps))
             assert verdicts[0] == verdicts[1]
+
+
+#: Self-loops shorter than ``TRACE_MIN_LENGTH``: a terminal that jumps or
+#: branches back to its own head makes even a one-instruction superblock
+#: an in-trace loop.  The data page sits at ``PAGE_SIZE`` (one code page).
+SHORT_SELF_LOOPS = {
+    "addi-bne-counted": [
+        isa.movi(1, 0), isa.movi(2, 400),
+        "loop", isa.addi(1, 1, 1), isa.bne(1, 2, "loop"),
+        isa.halt(),
+    ],
+    "jmp-self": ["loop", isa.jmp("loop")],
+    "bne-self": [
+        isa.movi(1, 0), isa.movi(2, 1),
+        "loop", isa.bne(1, 2, "loop"),
+        isa.halt(),
+    ],
+    "jal-self": ["loop", isa.jal(5, "loop")],
+    "load-bne": [
+        isa.movi(1, 0), isa.movi(2, 1), isa.movi(7, PAGE_SIZE),
+        "loop", isa.load(4, 7, 3), isa.bne(1, 2, "loop"),
+        isa.halt(),
+    ],
+    "store-beq": [
+        isa.movi(7, PAGE_SIZE), isa.movi(8, 0x5A5A),
+        "loop", isa.store(8, 7, 5), isa.beq(0, 0, "loop"),
+        isa.halt(),
+    ],
+}
+
+
+class TestShortSelfLoops:
+    @pytest.mark.parametrize("name", sorted(SHORT_SELF_LOOPS))
+    def test_three_way_equivalence(self, name):
+        """Budgets either side of serve's 64-step slice, and the whole run
+        sliced into 64- and 7-step ``Core.run`` calls."""
+        program = assemble(SHORT_SELF_LOOPS[name])
+        for budget, chunk in ((1, None), (2, None), (63, None), (64, None),
+                              (65, None), (1_000, None), (1_000, 64),
+                              (1_000, 7)):
+            traced, fast_only, reference = _three_way(program, budget, chunk)
+            case = f"budget {budget}, chunk {chunk}"
+            assert _verdict(*traced) == _verdict(*fast_only) == \
+                _verdict(*reference), case
+            assert _simulated(traced[0]) == _simulated(fast_only[0]) == \
+                _simulated(reference[0]), case
+            if budget > 2:  # budgets 1 and 2 end before the head is hot
+                core = traced[1]
+                assert core.trace_steps > 0, case
+                assert any(trace.is_loop and trace.length < TRACE_MIN_LENGTH
+                           for trace in core._vtraces.values()), case
+
+    def test_event_mid_spin_sees_the_same_state_on_every_engine(self):
+        """A clock callback that lands inside the fused spin observes the
+        same time, pc and registers on every engine, and its register
+        write steers the rest of the run identically."""
+        program = assemble(SHORT_SELF_LOOPS["addi-bne-counted"])
+        seen = []
+        runs = []
+        for fast, jit in ((True, True), (True, False), (False, False)):
+            Core.fast_path = fast
+            Core.trace_jit = jit
+            machine, core = _guillotine()
+            machine.load_program(core, program)
+            core.resume()
+
+            def interrupt(machine=machine, core=core):
+                seen.append((machine.clock.now, core.pc,
+                             list(core.registers)))
+                core.registers[2] = core.registers[1] + 5  # stop soon
+
+            machine.clock.call_at(machine.clock.now + 1_001, interrupt)
+            steps = core.run(max_steps=5_000)
+            runs.append((machine, core, steps))
+        assert len(seen) == 3 and seen[0] == seen[1] == seen[2]
+        traced, fast_only, reference = runs
+        assert _verdict(*traced) == _verdict(*fast_only) == \
+            _verdict(*reference)
+        assert _simulated(traced[0]) == _simulated(fast_only[0]) == \
+            _simulated(reference[0])
+        core = traced[1]
+        assert core.state is CoreState.HALTED
+        assert core.registers[1] == seen[0][2][1] + 5  # cut short
+        assert core.trace_steps > 0
+
+    def test_hot_two_instruction_block_that_is_not_a_self_loop(self):
+        """The length floor still holds for a short superblock that exits
+        its trace: ``addi; jmp tail`` is hot but jumps elsewhere."""
+        program = assemble([
+            isa.movi(1, 0), isa.movi(2, 200),
+            "loop", isa.addi(1, 1, 1), isa.jmp("tail"),
+            "tail", isa.bne(1, 2, "loop"),
+            isa.halt(),
+        ])
+        machine, core, steps = _run(program)
+        assert core.state is CoreState.HALTED
+        assert steps == 2 + 3 * 200 + 1
+        assert machine.banks["model_dram"].traces_compiled == 0
+        assert core.trace_steps == 0
 
 
 class TestExactInvalidation:

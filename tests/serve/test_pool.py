@@ -48,6 +48,10 @@ class TestScrubHygiene:
         outcome, reason, cycles = _run(leased, "spinner", engine=engine)
         assert (outcome, reason) == ("contained", "budget")
         assert cycles >= ServiceConfig().budget_cycles
+        if engine == "trace":
+            # The spin loop ran fused, so the scrub must clear a live
+            # compiled trace, not just heat counters.
+            assert leased.model_cores[0].trace_steps > 0
 
         pool.release(index)
         assert machine_fingerprint(machine) == pristine

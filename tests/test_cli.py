@@ -274,25 +274,57 @@ def _golden_record() -> dict:
     return json.loads((corpus / "golden-alu.json").read_text())
 
 
+#: Malformed replay artifacts: the golden record with one field replaced.
+_REPLAY_EDITS = {
+    "words-hex-number": (("program", "words_hex"), 5),
+    "expected-list": (("expected",), []),
+    "expected-empty": (("expected",), {}),
+    "record-empty": (("expected", "record"), {}),
+    "record-null": (("expected", "record"), None),
+    "violations-null": (("expected", "violations"), None),
+    "coverage-null": (("expected", "coverage"), None),
+    "coverage-integers": (("expected", "coverage"), [1, 2]),
+    "max-steps-string": (("max_steps",), "x"),
+}
+
+#: Malformed ledgers: a well-formed document around bad entries.
+_LEDGER_ENTRIES = {
+    "entries-integers": [1, 2],
+    "entry-empty": [{}],
+    "entry-unknown-kind": [{"kind": "fleet"}],
+}
+
+
 def _malformed(kind: str) -> str:
     """The text of one malformed artifact file."""
     import json
+    from pathlib import Path
 
     record = _golden_record()
     if kind == "top-level-list":
         return json.dumps([record])
-    if kind == "words-hex-number":
-        record["program"]["words_hex"] = 5
-        return json.dumps(record)
-    if kind == "expected-list":
-        record["expected"] = []
+    if kind in _REPLAY_EDITS:
+        path, value = _REPLAY_EDITS[kind]
+        holder = record
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
         return json.dumps(record)
     if kind == "truncated-ledger":
         return '{"schema": "repro.ledger/1", "entr'
     if kind == "ledger-list":
         return "[]"
-    assert kind == "ledger-without-entries"
-    return json.dumps({"schema": "repro.ledger/1"})
+    if kind == "ledger-without-entries":
+        return json.dumps({"schema": "repro.ledger/1"})
+    if kind == "serve-engine-null":
+        committed = Path(__file__).resolve().parent.parent / "BENCH_ledger.json"
+        serve_row = next(entry for entry
+                         in json.loads(committed.read_text())["entries"]
+                         if entry.get("kind") == "serve")
+        entries = [dict(serve_row, engine=None)]
+    else:
+        entries = _LEDGER_ENTRIES[kind]
+    return json.dumps({"schema": "repro.ledger/1", "entries": entries})
 
 
 class TestMalformedArtifacts:
@@ -307,6 +339,16 @@ class TestMalformedArtifacts:
             ("words-hex-number",
              "field program.words_hex is an integer, not an array"),
             ("expected-list", "field expected is an array, not an object"),
+            ("expected-empty", "missing field expected.record"),
+            ("record-empty", "field expected.record is empty"),
+            ("record-null", "field expected.record is null, not an object"),
+            ("violations-null",
+             "field expected.violations is null, not an array"),
+            ("coverage-null", "field expected.coverage is null, not an array"),
+            ("coverage-integers",
+             "field expected.coverage holds an integer, not a string"),
+            ("max-steps-string",
+             "field max_steps is a string, not an integer"),
         )
     ] + [
         (command, kind, reason)
@@ -315,6 +357,12 @@ class TestMalformedArtifacts:
             ("truncated-ledger", "not valid JSON"),
             ("ledger-list", "top level is an array, not an object"),
             ("ledger-without-entries", "missing field entries"),
+            ("entries-integers", "entry 0: is an integer, not an object"),
+            ("entry-empty", "entry 0: missing field git_rev"),
+            ("entry-unknown-kind",
+             "entry 0: field kind is 'fleet', not 'bench' or 'serve'"),
+            ("serve-engine-null",
+             "entry 0: field engine is null, not a string"),
         )
     ])
     def test_structured_error_and_exit_two(self, tmp_path, capsys,
