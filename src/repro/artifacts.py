@@ -67,8 +67,9 @@ def check_fields(document: dict, fields: dict, optional=()) -> None:
 def check_items(name: str, items: list, kind) -> None:
     """Raise :class:`ArtifactError` unless every item of the array field
     ``name`` has the JSON type ``kind``."""
+    types = _types(kind)
     for item in items:
-        if type(item) not in _types(kind):
+        if type(item) not in types:
             raise ArtifactError(
                 f"field {name} holds {json_name(item)}, "
                 f"not {_describe(kind)}")

@@ -541,10 +541,18 @@ def _batch_lanes(row_index: int, batch: int):
     same topology, different secret fills (``variant = lane % 4``) — so
     the suite measures exactly the replica shape the batch engine was
     built for."""
-    from repro.fuzz.oracles import _probe_machine
-
     words = BATCH_SUITE[row_index][1]().words
-    return [_probe_machine(words, lane % 4) for lane in range(batch)]
+    return [probe_lane(words, lane % 4) for lane in range(batch)]
+
+
+def probe_lane(words, variant: int):
+    """A freshly built fuzz noninterference-probe machine running
+    ``words`` with secret fill ``variant``: ``(machine, core, code_pages)``
+    (:func:`repro.fuzz.oracles.boot_program`)."""
+    from repro.fuzz.oracles import boot_program, fuzz_guillotine_config
+
+    return boot_program(build_guillotine_machine(fuzz_guillotine_config()),
+                        words, variant=variant)
 
 
 def _lane_state(machine, core, steps: int) -> dict:

@@ -95,8 +95,7 @@ def replica_sweep(campaign_seed: int, *, replicas: int = REPLICA_COUNT,
     dict is deterministic (no wall time), so chaos reports stay
     byte-identical at any ``--jobs``.
     """
-    from repro.core.bench import batch_noninterference_program
-    from repro.fuzz.oracles import _probe_machine
+    from repro.core.bench import batch_noninterference_program, probe_lane
     from repro.hw.attestation import digest_of
     from repro.hw.batch import LockstepBatch
 
@@ -113,13 +112,13 @@ def replica_sweep(campaign_seed: int, *, replicas: int = REPLICA_COUNT,
             "registers_digest": digest_of(list(core.registers)),
         }
 
-    scalar_lanes = [_probe_machine(words, variant) for variant in variants]
+    scalar_lanes = [probe_lane(words, variant) for variant in variants]
     scalar = [
         _finish(machine, core, core.run(max_steps=max_steps))
         for machine, core, _ in scalar_lanes
     ]
 
-    batch_lanes = [_probe_machine(words, variant) for variant in variants]
+    batch_lanes = [probe_lane(words, variant) for variant in variants]
     engine = LockstepBatch([core for _, core, _ in batch_lanes])
     result = engine.run(max_steps=max_steps)
     batched = [

@@ -48,7 +48,8 @@ observables just mean the over-approximation was conservative.
 with a mid-flight interruption: after :data:`MIGRATION_SPLIT_STEPS` steps
 the machine is checkpointed (:mod:`repro.fleet.checkpoint`), the artifact
 is JSON round-tripped exactly as a fleet migration would ship it, restored
-onto a *fresh* machine, and execution continues there.  The final record
+onto a scrubbed machine that is not the source, fingerprint-equal to a
+fresh build, and execution continues there.  The final record
 must be cycle- and state-bit-identical to the uninterrupted run — the only
 fields excluded are the audit-log length/digest, because the restored
 machine's log legitimately starts a new hash chain (the old one cannot be
@@ -68,30 +69,32 @@ indistinguishable from its scalar twin.  Coverage tokens
 ``batch:defer``, ``batch:fallback``) record which paths the engine took.
 
 All comparisons run on deliberately small machines (one model core, a few
-DRAM pages) so a fuzz campaign costs milliseconds per program.
+DRAM pages) so a fuzz campaign costs milliseconds per program.  Each run
+leases its machine (:func:`repro.hw.machine.lease_machine`): scrubbed
+spares, so a process builds only the three it holds at once.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.analysis.taint import SourceSinkModel, analyze_taint
 from repro.errors import GuestRejected
+from repro.fuzz.gen import DATA_PAGES, IO_PAGES, SECRET_VADDR
 from repro.hw.attestation import digest_of
+from repro.hw.core import Core
 from repro.hw.isa import Op, Program
 from repro.hw.machine import (
+    Machine,
     MachineConfig,
     build_baseline_machine,
     build_guillotine_machine,
+    lease_machine,
+    release_machine,
 )
 from repro.hw.memory import PAGE_SIZE
-from repro.fuzz.gen import (
-    DATA_PAGES,
-    IO_PAGES,
-    SECRET_VADDR,
-    GeneratedProgram,
-)
 
 #: Default per-run step budget; generated loops are bounded well below it.
 DEFAULT_MAX_STEPS = 600
@@ -310,32 +313,52 @@ def secret_fill(variant: int) -> list[int]:
             for index in range(PAGE_SIZE)]
 
 
-def _probe_machine(words: Sequence[int], variant: int):
-    """Build one ready-to-run noninterference-probe machine.
-
-    Shared by the scalar probe and the batch oracle's lanes so both run
-    the *same* setup: IO window mapped, secret page pre-filled, MMU
-    locked down, core resumed.
-    """
+def boot_program(machine: Machine, words: Sequence[int], *,
+                 variant: int | None = None) -> tuple[Machine, Core, int]:
+    """Start ``words`` on ``machine`` under the fixed fuzz layout: one code
+    page at vaddr 0 (locked down on the Guillotine machine),
+    :data:`~repro.fuzz.gen.DATA_PAGES` data pages at
+    :data:`~repro.fuzz.gen.DATA_VADDR`.  The shared IO window is mapped
+    only for a noninterference probe (``variant`` given, secret page filled
+    with :func:`secret_fill`), so both machine kinds otherwise expose an
+    identical virtual address space.  Returns the machine, the started
+    core, and the number of code pages."""
     if len(words) > PAGE_SIZE:
         raise ValueError(f"fuzz programs are capped at {PAGE_SIZE} words")
-    machine = build_guillotine_machine(fuzz_guillotine_config())
     core = machine.model_cores[0]
-    program = Program(list(words), {})
     layout = machine.load_program(
-        core, program, data_pages=DATA_PAGES, map_io_region=True
+        core, Program(list(words), {}), data_pages=DATA_PAGES,
+        map_io_region=variant is not None,
     )
-    bank = machine.banks["model_dram"]
-    # Under the fuzz layout the mapping is identity (code frame 0, data
-    # frames 1..DATA_PAGES), so the secret page's physical bank address
-    # equals SECRET_VADDR.
-    bank.load_words(SECRET_VADDR, secret_fill(variant))
+    if variant is not None:
+        # Under the fuzz layout the mapping is identity (code frame 0, data
+        # frames 1..DATA_PAGES), so the secret page's physical bank address
+        # equals SECRET_VADDR.  The fill is planted directly into the bank
+        # (no bus traffic, no log events), so two probes differ in
+        # *nothing* but the secret bytes.
+        machine.banks["model_dram"].load_words(
+            SECRET_VADDR, secret_fill(variant))
     if machine.control_bus is not None:
         machine.control_bus.lockdown_mmu(
             core.name, 0, layout["code_pages"] - 1
         )
     core.resume()
     return machine, core, layout["code_pages"]
+
+
+def _lease(stack: ExitStack, machine_kind: str = "guillotine",
+           engine: str = "trace") -> Machine:
+    """Lease a fuzz machine that ``stack`` releases when it exits."""
+    if machine_kind == "guillotine":
+        machine = lease_machine(
+            build_guillotine_machine, fuzz_guillotine_config(), engine)
+    elif machine_kind == "baseline":
+        machine = lease_machine(
+            build_baseline_machine, fuzz_baseline_config(), engine)
+    else:
+        raise ValueError(f"unknown machine kind {machine_kind!r}")
+    stack.callback(release_machine, machine)
+    return machine
 
 
 def _probe_observation(machine, core, steps: int) -> ProbeObservation:
@@ -364,14 +387,8 @@ def noninterference_probe(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> ProbeObservation:
     """Execute ``words`` on the Guillotine machine with the IO window
-    mapped and the secret page pre-filled with :func:`secret_fill`.
-
-    The fill is planted directly into the DRAM bank (no bus traffic, no
-    log events), so two probes differ in *nothing* but the secret bytes.
-    """
-    machine, core, _ = _probe_machine(words, variant)
-    steps = core.run(max_steps=max_steps)
-    return _probe_observation(machine, core, steps)
+    mapped and the secret page pre-filled with :func:`secret_fill`."""
+    return _scalar_probe(words, variant, max_steps=max_steps)[0]
 
 
 def _scalar_probe(
@@ -380,13 +397,15 @@ def _scalar_probe(
     """One scalar probe run, captured both ways: the noninterference
     observation (oracle 4) and the full execution record (oracle 6's
     bit-identity reference)."""
-    machine, core, code_pages = _probe_machine(words, variant)
-    steps = core.run(max_steps=max_steps)
-    return (
-        _probe_observation(machine, core, steps),
-        _capture_record(machine, "guillotine", "scalar-probe",
-                        core, steps, code_pages),
-    )
+    with ExitStack() as stack:
+        machine, core, code_pages = boot_program(
+            _lease(stack), words, variant=variant)
+        steps = core.run(max_steps=max_steps)
+        return (
+            _probe_observation(machine, core, steps),
+            _capture_record(machine, "guillotine", "scalar-probe",
+                            core, steps, code_pages),
+        )
 
 
 def batch_noninterference_probes(
@@ -397,7 +416,7 @@ def batch_noninterference_probes(
 ):
     """Run the secret-fill probes as lockstep batch lanes (oracle 6).
 
-    Builds one probe machine per ``variants`` entry — exactly the lanes
+    Leases one probe machine per ``variants`` entry — exactly the lanes
     :func:`noninterference_probe` would run one at a time — and executes
     them through :class:`repro.hw.batch.LockstepBatch`.  Returns
     ``(observations, records, stats)``: per-lane probe observations,
@@ -406,15 +425,17 @@ def batch_noninterference_probes(
     """
     from repro.hw.batch import LockstepBatch
 
-    lanes = [_probe_machine(words, variant) for variant in variants]
-    batch = LockstepBatch([core for _, core, _ in lanes])
-    result = batch.run(max_steps=max_steps)
-    observations = []
-    records = []
-    for (machine, core, code_pages), steps in zip(lanes, result.steps):
-        observations.append(_probe_observation(machine, core, steps))
-        records.append(_capture_record(machine, "guillotine", "batch",
-                                       core, steps, code_pages))
+    with ExitStack() as stack:
+        lanes = [boot_program(_lease(stack), words, variant=variant)
+                 for variant in variants]
+        batch = LockstepBatch([core for _, core, _ in lanes])
+        result = batch.run(max_steps=max_steps)
+        observations = []
+        records = []
+        for (machine, core, code_pages), steps in zip(lanes, result.steps):
+            observations.append(_probe_observation(machine, core, steps))
+            records.append(_capture_record(machine, "guillotine", "batch",
+                                           core, steps, code_pages))
     return observations, records, result.stats
 
 
@@ -425,38 +446,16 @@ def execute_program(
     fast_path: bool = True,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> ExecutionRecord:
-    """Run ``words`` on a fresh machine and capture an execution record.
-
-    The layout is the fixed fuzz layout: one code page at vaddr 0 (locked
-    down on the Guillotine machine), :data:`~repro.fuzz.gen.DATA_PAGES`
-    data pages at vaddr :data:`~repro.fuzz.gen.DATA_VADDR`.  The shared IO
-    window is *not* mapped, so both machine kinds expose an identical
-    virtual address space to the program.
-    """
-    if len(words) > PAGE_SIZE:
-        raise ValueError(f"fuzz programs are capped at {PAGE_SIZE} words")
-    if machine_kind == "guillotine":
-        machine = build_guillotine_machine(fuzz_guillotine_config())
-    elif machine_kind == "baseline":
-        machine = build_baseline_machine(fuzz_baseline_config())
-    else:
-        raise ValueError(f"unknown machine kind {machine_kind!r}")
-
-    machine.set_fast_path(fast_path)
-    core = machine.model_cores[0]
-    program = Program(list(words), {})
-    layout = machine.load_program(
-        core, program, data_pages=DATA_PAGES, map_io_region=False
-    )
-    if machine.control_bus is not None:
-        machine.control_bus.lockdown_mmu(
-            core.name, 0, layout["code_pages"] - 1
-        )
-    core.resume()
-    steps = core.run(max_steps=max_steps)
-    return _capture_record(machine, machine_kind,
-                           "fast" if fast_path else "reference",
-                           core, steps, layout["code_pages"])
+    """Run ``words`` under the fuzz layout (:func:`boot_program`) and
+    capture an execution record.  The fast engine runs traces too."""
+    with ExitStack() as stack:
+        machine, core, code_pages = boot_program(
+            _lease(stack, machine_kind,
+                   "trace" if fast_path else "reference"), words)
+        steps = core.run(max_steps=max_steps)
+        return _capture_record(machine, machine_kind,
+                               "fast" if fast_path else "reference",
+                               core, steps, code_pages)
 
 
 def _capture_record(machine, machine_kind: str, engine: str, core,
@@ -505,7 +504,8 @@ def migration_probe(
 
     The run is interrupted after ``split`` steps, checkpointed, JSON
     round-tripped (exactly what a fleet migration ships over the wire),
-    restored onto a fresh machine, and continued there.  The second leg
+    restored onto a scrubbed machine that is not the source,
+    fingerprint-equal to a fresh build, and continued there.  The second leg
     runs only when the first leg stopped on its ``split`` budget — an
     early break (halt, fault, WFI park, or a wake-up check that finds the
     parked core still asleep) is the run's final state, which is
@@ -515,36 +515,27 @@ def migration_probe(
 
     from repro.fleet.checkpoint import capture_checkpoint, restore_checkpoint
 
-    if len(words) > PAGE_SIZE:
-        raise ValueError(f"fuzz programs are capped at {PAGE_SIZE} words")
-    machine = build_guillotine_machine(fuzz_guillotine_config())
-    core = machine.model_cores[0]
-    program = Program(list(words), {})
-    layout = machine.load_program(
-        core, program, data_pages=DATA_PAGES, map_io_region=False
-    )
-    if machine.control_bus is not None:
-        machine.control_bus.lockdown_mmu(
-            core.name, 0, layout["code_pages"] - 1
-        )
-    core.resume()
-    split = min(split, max_steps)
-    progress = core.instructions_retired + core.faults
-    steps = core.run(max_steps=split)
-    # ``Core.run`` counts the wake-up check on a parked (WFI) core as a
-    # step and stops after it.  A counted step that neither retired an
-    # instruction nor raised a fault is that check, so a leg that took one
-    # stopped on its own, not on its budget, even when ``steps == split``.
-    woke_and_parked = core.instructions_retired + core.faults - progress < steps
+    with ExitStack() as stack:
+        machine, core, code_pages = boot_program(_lease(stack), words)
+        split = min(split, max_steps)
+        progress = core.instructions_retired + core.faults
+        steps = core.run(max_steps=split)
+        # ``Core.run`` counts the wake-up check on a parked (WFI) core as a
+        # step and stops after it.  A counted step that neither retired an
+        # instruction nor raised a fault is that check, so a leg that took one
+        # stopped on its own, not on its budget, even when ``steps == split``.
+        woke_and_parked = core.instructions_retired + core.faults - progress < steps
 
-    checkpoint = json.loads(json.dumps(capture_checkpoint(machine)))
-    target = build_guillotine_machine(fuzz_guillotine_config())
-    restore_checkpoint(target, checkpoint)
-    migrated_core = target.model_cores[0]
-    if steps == split and not woke_and_parked and split < max_steps:
-        steps += migrated_core.run(max_steps=max_steps - split)
-    return _capture_record(target, "guillotine", "migrated",
-                           migrated_core, steps, layout["code_pages"])
+        checkpoint = json.loads(json.dumps(capture_checkpoint(machine)))
+        # Leased while the source is still held, so the target is another
+        # machine and only the checkpoint carries state across.
+        target = _lease(stack)
+        restore_checkpoint(target, checkpoint)
+        migrated_core = target.model_cores[0]
+        if steps == split and not woke_and_parked and split < max_steps:
+            steps += migrated_core.run(max_steps=max_steps - split)
+        return _capture_record(target, "guillotine", "migrated",
+                               migrated_core, steps, code_pages)
 
 
 def _compare(expected: ExecutionRecord, actual: ExecutionRecord,
@@ -589,17 +580,18 @@ def _check_admission(words: Sequence[int]) -> bool:
     the hypervisor admitted it."""
     from repro.hv.hypervisor import GuillotineHypervisor
 
-    machine = build_guillotine_machine(fuzz_guillotine_config())
-    hypervisor = GuillotineHypervisor(machine, verify_guests="enforce")
-    try:
-        hypervisor.load_guest(
-            Program(list(words), {}), name="fuzzed",
-            data_pages=DATA_PAGES, map_io_region=False,
-            sources=FUZZ_SOURCES,
-        )
-    except GuestRejected:
-        return False
-    return True
+    with ExitStack() as stack:
+        hypervisor = GuillotineHypervisor(_lease(stack),
+                                          verify_guests="enforce")
+        try:
+            hypervisor.load_guest(
+                Program(list(words), {}), name="fuzzed",
+                data_pages=DATA_PAGES, map_io_region=False,
+                sources=FUZZ_SOURCES,
+            )
+        except GuestRejected:
+            return False
+        return True
 
 
 def check_program(

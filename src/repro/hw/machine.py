@@ -19,7 +19,9 @@ the co-tenancy that makes prime+probe side channels work (experiment E2).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.clock import VirtualClock
 from repro.errors import BusError
@@ -120,6 +122,8 @@ class Machine:
         #: Tag-space offset for hypervisor-software touches; nonzero only in
         #: the shared-dcache ablation, so hv lines never alias model lines.
         self.hv_touch_offset = 0
+        #: Free-list key while leased by :func:`lease_machine`, else None.
+        self.lease_key: tuple | None = None
 
     # -- inventory & attestation ----------------------------------------------
 
@@ -252,7 +256,8 @@ class Machine:
     def scrub(self) -> None:
         """Factory-reset the machine for reuse by a new tenant.
 
-        The serve-layer machine pool calls this between leases: cores,
+        Every machine reuse runs this through :func:`reset_machine` (from
+        :func:`release_machine` and the serve pool): cores,
         DRAM banks (words, decoded/trace caches, fault state, counters),
         shared caches, frame allocators, LAPICs, the audit log, and the
         virtual clock all return to their power-on state.  Wiring —
@@ -279,6 +284,153 @@ class Machine:
             lapic.scrub()
         self.log.reset_chain()
         self.clock.reset()
+
+
+#: Interpreter engines a machine can run guests under.  All three are
+#: cycle-identical by construction (the bench and fuzz suites pin it); the
+#: engine only changes Python-side cost.  A fresh build runs ``"trace"``.
+ENGINES = ("reference", "fast", "trace")
+
+
+def apply_engine(machine: Machine, engine: str) -> None:
+    """Configure the interpreter engine on every core of ``machine``."""
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    machine.set_fast_path(engine != "reference")
+    machine.set_traces(engine == "trace")
+
+
+def reset_machine(machine: Machine, engine: str) -> None:
+    """Scrub ``machine`` to its power-on state and run its cores under
+    ``engine``: the one reset between two uses of a machine.
+
+    Engine flags are per-core configuration the scrub leaves alone, so
+    they are set here explicitly.  Raises ``RuntimeError`` while clock
+    events are still queued (see :meth:`Machine.scrub`)."""
+    machine.scrub()
+    apply_engine(machine, engine)
+
+
+#: Scrubbed spare machines per ``(builder, geometry)``, most recently
+#: released last.  A list grows only to the number of its machines that
+#: were leased at once.
+_SPARES: dict[tuple, list[Machine]] = {}
+
+
+def lease_machine(builder: Callable[[MachineConfig], Machine],
+                  config: MachineConfig, engine: str) -> Machine:
+    """A ``builder(config)`` machine in its power-on state, every core
+    running ``engine``.
+
+    That is a spare of the same builder and geometry, scrubbed when it was
+    released, or a fresh build when none is free; either way
+    :func:`machine_fingerprint` reads the same.  Hand it back with
+    :func:`release_machine`."""
+    # The field values are the geometry (a MachineConfig is unhashable).
+    key = (builder, *vars(config).values())
+    spares = _SPARES.get(key)
+    machine = spares.pop() if spares else builder(config)
+    machine.lease_key = key
+    apply_engine(machine, engine)
+    return machine
+
+
+def release_machine(machine: Machine) -> None:
+    """Scrub a machine from :func:`lease_machine` and keep it as a spare.
+
+    The spare runs a fresh build's engine until its next lease.  A machine
+    whose scrub refuses (clock events still queued) is dropped instead."""
+    key = machine.lease_key
+    if key is None:
+        raise ValueError(f"machine {machine.name!r} is not leased")
+    machine.lease_key = None
+    try:
+        reset_machine(machine, "trace")
+    except RuntimeError:
+        return
+    _SPARES.setdefault(key, []).append(machine)
+
+
+def machine_fingerprint(machine: Machine) -> dict:
+    """Everything tenant-visible on a machine, as a comparable dict.
+
+    Covers architectural core state (the armed timer and the exception
+    machinery included), MMU tables and lockdown, TLB/cache/
+    predictor contents *and* stats, decoded/trace caches, DRAM digests and
+    counters, LAPIC counters, allocator positions, the audit log, and the
+    clock — the full surface the reuse-hygiene tests must prove clean.
+    """
+    cores = {}
+    for core in machine.model_cores + machine.hv_cores:
+        caches = core.caches
+        cores[core.name] = {
+            "registers": list(core.registers),
+            "pc": core.pc,
+            "state": core.state.name,
+            "faults": core.faults,
+            "last_fault": core.last_fault,
+            "instructions_retired": core.instructions_retired,
+            "timer_fires": core.timer_fires,
+            "timer_deadline": core._timer_deadline,
+            "exception": [core.exception_vector, core._saved_pc,
+                          core._in_handler],
+            "mmu_locked": core.mmu.locked,
+            "mmu_table": sorted(
+                (vpn, entry.ppn, entry.perm_bits)
+                for vpn, entry in core.mmu.table_snapshot().items()
+            ),
+            "tlb_entries": caches.tlb.entries_snapshot(),
+            "tlb_stats": [caches.tlb.stats.hits, caches.tlb.stats.misses],
+            "predictor_counters": caches.branch_predictor.counters_snapshot(),
+            "predictor_stats": [caches.branch_predictor.predictions,
+                                caches.branch_predictor.mispredictions],
+            "private_caches": {
+                cache.name: cache.lines_snapshot()
+                for cache in caches.private
+            },
+            "cache_stats": {
+                cache.name: [cache.stats.hits, cache.stats.misses]
+                for cache in caches.private
+            },
+            "decoded_stats": [core.decoded_hits, core.decoded_misses],
+            "vtraces": len(core._vtraces),
+            "trace_heat": len(core._trace_heat),
+            "trace_stats": [core.trace_hits, core.trace_bailouts,
+                            core.trace_steps],
+        }
+    banks = {}
+    for name, bank in machine.banks.items():
+        digest = hashlib.sha256(
+            repr(bank.snapshot()).encode()).hexdigest()
+        banks[name] = {
+            "digest": digest,
+            "write_count": bank.write_count,
+            "decoded_entries": len(bank.decoded),
+            "decoded_evictions": bank.decoded_evictions,
+            "traces": len(bank._traces),
+            "traces_compiled": bank.traces_compiled,
+            "trace_invalidations": bank.trace_invalidations,
+            "faulted": bank.faulted,
+        }
+    return {
+        "cores": cores,
+        "banks": banks,
+        "shared_cache_stats": {
+            cache.name: [cache.stats.hits, cache.stats.misses]
+            for cache in machine.shared_caches
+        },
+        "lapics": {
+            name: [lapic.accepted, lapic.throttled, lapic.pending_count()]
+            for name, lapic in machine.lapics.items()
+        },
+        "allocators": {
+            name: allocator.frames_used
+            for name, allocator in machine.allocators.items()
+        },
+        "log_records": len(machine.log),
+        "clock_now": machine.clock.now,
+        "clock_pending": machine.clock.pending,
+    }
 
 
 def _make_core_caches(config: MachineConfig, shared_l2: Cache | None,

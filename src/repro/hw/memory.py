@@ -320,13 +320,12 @@ class Dram:
 
     def load_words(self, address: int, words: list[int]) -> None:
         """Bulk-load ``words`` starting at ``address`` (program loading)."""
-        if address < 0 or address + len(words) > self.size:
+        end = address + len(words)
+        if address < 0 or end > self.size:
             raise MemoryFault(f"bulk load outside {self.name}", address)
-        for offset, word in enumerate(words):
-            self._words[address + offset] = word & WORD_MASK
+        self._words[address:end] = [word & WORD_MASK for word in words]
         if self._corrupt or self._stuck:
-            for offset in range(len(words)):
-                target = address + offset
+            for target in range(address, end):
                 self._corrupt.pop(target, None)
                 masks = self._stuck.get(target)
                 if masks is not None:

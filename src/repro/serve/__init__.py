@@ -10,7 +10,7 @@ package is that service layer, in four pieces:
   and taint analyzers under the tenant's policy exactly as
   :meth:`repro.hv.hypervisor.GuillotineHypervisor.load_guest` does;
 * :mod:`repro.serve.pool` — warm simulated machines with lease/release
-  and a full between-tenant scrub (:meth:`repro.hw.machine.Machine.scrub`);
+  and a full between-tenant scrub (:func:`repro.hw.machine.reset_machine`);
 * :mod:`repro.serve.service` — the deterministic virtual-time cell loop:
   arrivals, bounded admission queue with backpressure, per-tenant
   fair-share dispatch, cycle-budget containment, per-tenant namespacing;
@@ -27,7 +27,7 @@ from repro.serve.load import (
     assemble_serve_report,
     run_serve,
 )
-from repro.serve.pool import ENGINES, MachinePool, machine_fingerprint
+from repro.serve.pool import MachinePool
 from repro.serve.service import ServiceConfig, pick_next, run_cell
 from repro.serve.workload import (
     PROFILES,
@@ -39,7 +39,6 @@ from repro.serve.workload import (
 )
 
 __all__ = [
-    "ENGINES",
     "PROFILES",
     "SERVE_SCHEMA",
     "TENANTS",
@@ -52,7 +51,6 @@ __all__ = [
     "assemble_serve_report",
     "build_program",
     "generate_requests",
-    "machine_fingerprint",
     "pick_next",
     "run_cell",
     "run_serve",

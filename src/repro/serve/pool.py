@@ -2,30 +2,31 @@
 
 A pool holds N fully built Guillotine machines (the small fuzz-sized
 configuration) that stay warm across leases — construction cost is paid
-once per cell, not once per request.  :meth:`MachinePool.release` runs
-:meth:`repro.hw.machine.Machine.scrub`, so every lease starts from the
+once per cell, not once per request.  :meth:`MachinePool.release` goes
+through the same scrub-and-engine reset as every other machine reuse
+(:func:`repro.hw.machine.reset_machine`), so every lease starts from the
 power-on state: zeroed DRAM, cold caches/TLB/predictor, empty decoded and
 trace caches, a fresh audit-log hash chain, and the virtual clock at
 cycle zero (which is what makes per-request ``exec_cycles`` simply the
 machine clock at the end of the run).
 
-:func:`machine_fingerprint` captures everything tenant-visible on a
-machine; the machine-reuse hygiene regression test pins that a scrubbed
-machine fingerprints identically to a never-leased one on all three
-engines.
+:func:`repro.hw.machine.machine_fingerprint` captures everything
+tenant-visible on a machine; the machine-reuse hygiene regression test
+pins that a scrubbed machine fingerprints identically to a never-leased
+one on all three engines.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import insort
 
-from repro.hw.machine import Machine, MachineConfig, build_guillotine_machine
-
-#: Interpreter engines a pooled machine can run guests under.  All three
-#: are cycle-identical by construction (the bench and fuzz suites pin it);
-#: the engine only changes Python-side cost.
-ENGINES = ("reference", "fast", "trace")
+from repro.hw.machine import (
+    Machine,
+    MachineConfig,
+    apply_engine,
+    build_guillotine_machine,
+    reset_machine,
+)
 
 
 def serve_machine_config() -> MachineConfig:
@@ -37,14 +38,6 @@ def serve_machine_config() -> MachineConfig:
         hv_dram_pages=16,
         io_dram_pages=4,
     )
-
-
-def apply_engine(machine: Machine, engine: str) -> None:
-    """Configure the interpreter engine on every core of ``machine``."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    machine.set_fast_path(engine != "reference")
-    machine.set_traces(engine == "trace")
 
 
 class MachinePool:
@@ -88,88 +81,6 @@ class MachinePool:
         """Scrub and return a machine to the free list."""
         if index in self._free:
             raise ValueError(f"machine {index} is not leased")
-        machine = self.machines[index]
-        machine.scrub()
-        # Engine flags are per-core instance state the scrub leaves alone,
-        # but re-asserting them keeps the pool's invariant self-evident.
-        apply_engine(machine, self.engine)
+        reset_machine(self.machines[index], self.engine)
         self.scrubs += 1
         insort(self._free, index)
-
-
-def machine_fingerprint(machine: Machine) -> dict:
-    """Everything tenant-visible on a machine, as a comparable dict.
-
-    Covers architectural core state, MMU tables and lockdown, TLB/cache/
-    predictor contents *and* stats, decoded/trace caches, DRAM digests and
-    counters, LAPIC counters, allocator positions, the audit log, and the
-    clock — the full surface the reuse-hygiene test must prove clean.
-    """
-    cores = {}
-    for core in machine.model_cores + machine.hv_cores:
-        caches = core.caches
-        cores[core.name] = {
-            "registers": list(core.registers),
-            "pc": core.pc,
-            "state": core.state.name,
-            "faults": core.faults,
-            "last_fault": core.last_fault,
-            "instructions_retired": core.instructions_retired,
-            "timer_fires": core.timer_fires,
-            "mmu_locked": core.mmu.locked,
-            "mmu_table": sorted(
-                (vpn, entry.ppn, entry.perm_bits)
-                for vpn, entry in core.mmu.table_snapshot().items()
-            ),
-            "tlb_entries": caches.tlb.entries_snapshot(),
-            "tlb_stats": [caches.tlb.stats.hits, caches.tlb.stats.misses],
-            "predictor_counters": caches.branch_predictor.counters_snapshot(),
-            "predictor_stats": [caches.branch_predictor.predictions,
-                                caches.branch_predictor.mispredictions],
-            "private_caches": {
-                cache.name: cache.lines_snapshot()
-                for cache in caches.private
-            },
-            "cache_stats": {
-                cache.name: [cache.stats.hits, cache.stats.misses]
-                for cache in caches.private
-            },
-            "decoded_stats": [core.decoded_hits, core.decoded_misses],
-            "vtraces": len(core._vtraces),
-            "trace_heat": len(core._trace_heat),
-            "trace_stats": [core.trace_hits, core.trace_bailouts,
-                            core.trace_steps],
-        }
-    banks = {}
-    for name, bank in machine.banks.items():
-        digest = hashlib.sha256(
-            repr(bank.snapshot()).encode()).hexdigest()
-        banks[name] = {
-            "digest": digest,
-            "write_count": bank.write_count,
-            "decoded_entries": len(bank.decoded),
-            "decoded_evictions": bank.decoded_evictions,
-            "traces": len(bank._traces),
-            "traces_compiled": bank.traces_compiled,
-            "trace_invalidations": bank.trace_invalidations,
-            "faulted": bank.faulted,
-        }
-    return {
-        "cores": cores,
-        "banks": banks,
-        "shared_cache_stats": {
-            cache.name: [cache.stats.hits, cache.stats.misses]
-            for cache in machine.shared_caches
-        },
-        "lapics": {
-            name: [lapic.accepted, lapic.throttled, lapic.pending_count()]
-            for name, lapic in machine.lapics.items()
-        },
-        "allocators": {
-            name: allocator.frames_used
-            for name, allocator in machine.allocators.items()
-        },
-        "log_records": len(machine.log),
-        "clock_now": machine.clock.now,
-        "clock_pending": machine.clock.pending,
-    }

@@ -21,7 +21,11 @@ from repro.fleet.checkpoint import (
 )
 from repro.fleet.fleet import benign_guest_program, member_config
 from repro.hw import isa
-from repro.hw.machine import MachineConfig, build_guillotine_machine
+from repro.hw.machine import (
+    MachineConfig,
+    build_guillotine_machine,
+    machine_fingerprint,
+)
 
 #: (fast_path, traces) for the three interpreter engines.
 ENGINES = [
@@ -204,3 +208,116 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="checkpoint"):
             restore_checkpoint(
                 target, {"schema": CHECKPOINT_SCHEMA, "kind": "report"})
+
+
+def _at(image, path: tuple):
+    """The object holding the last key of ``path``, and that key."""
+    *parents, key = path
+    for parent in parents:
+        image = image[parent]
+    return image, key
+
+
+def _set(*path, value):
+    """A mutation that sets the field at the keys ``path``."""
+    def mutate(image):
+        holder, key = _at(image, path)
+        holder[key] = value
+    return mutate
+
+
+def _delete(*path):
+    def mutate(image):
+        holder, key = _at(image, path)
+        del holder[key]
+    return mutate
+
+
+def _first_word(value=None, address=None):
+    """Replace the first stored model-DRAM word's value or address."""
+    def mutate(image):
+        words = image["banks"]["model_dram"]["words_hex"]
+        first = next(iter(words))
+        word = words.pop(first)
+        words[first if address is None else address] = \
+            word if value is None else value
+    return mutate
+
+
+_CORE = ("cores", "model_core0")
+_TABLE = (*_CORE, "mmu", "table")
+
+
+def _ghost(section: str, template: str):
+    def mutate(image):
+        image[section]["ghost"] = image[section][template]
+    return mutate
+
+
+#: One malformed image per way restore used to fail late or with the
+#: wrong error: each must raise CheckpointError before touching anything.
+MALFORMED = {
+    "not-an-object": None,
+    "unknown-core": _ghost("cores", "model_core0"),
+    "cores-null": _set("cores", value=None),
+    "missing-config": _delete("config"),
+    "missing-banks": _delete("banks"),
+    "config-field-missing": _delete("config", "tlb_entries"),
+    "unknown-bank": _ghost("banks", "model_dram"),
+    "unknown-allocator": _ghost("allocators", "model_dram"),
+    "allocator-past-its-bank": _set("allocators", "model_dram",
+                                    value=10 ** 6),
+    "unknown-lapic": _ghost("lapics", "hv_core0"),
+    "unknown-shared-cache": _ghost("shared_caches", "model.l2"),
+    "non-hex-word": _first_word(value="0xnothex"),
+    "word-not-a-string": _first_word(value=7),
+    "word-address-out-of-range": _first_word(address=str(64 * 64 * 8)),
+    "word-address-not-a-number": _first_word(address="-1"),
+    "bank-size-mismatch": _set("banks", "model_dram", "size_words",
+                               value=64),
+    "mmu-entry-not-a-pair": _set(*_TABLE, "1", value=[1]),
+    "mmu-entry-not-numbers": _set(*_TABLE, "1", value=["1", 6]),
+    # A data page made executable outside the locked region.
+    "mmu-forged-lockdown": _set(*_TABLE, "1", value=[1, 0b111]),
+    "core-field-missing": _delete(*_CORE, "pc"),
+    "core-state-unknown": _set(*_CORE, "state", value="SPINNING"),
+    "core-registers-short": _set(*_CORE, "registers", value=[0, 1]),
+    "core-predictor-not-numbers": _set(*_CORE, "branch_predictor",
+                                       value=["1"] * 256),
+    "core-tlb-entry-not-a-pair": _set(*_CORE, "tlb", value=[[1]]),
+    "core-unknown-private-cache": _set(*_CORE, "private_caches",
+                                       value={"ghost.l1d": []}),
+    "cache-lines-wrong-count": _set("shared_caches", "model.l2",
+                                    value=[[]]),
+    "lapic-pending-malformed": _set("lapics", "hv_core0", "pending",
+                                    value=[[1, 2]]),
+}
+
+
+class TestMalformedImages:
+    @pytest.fixture(scope="class")
+    def image(self):
+        source = _machine(True, True)
+        _boot(source).run(max_steps=SPLIT)
+        image = json.loads(json.dumps(capture_checkpoint(source)))
+        assert image["clock_now"] >= 500
+        assert image["banks"]["model_dram"]["words_hex"]
+        return image
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_rejected_before_the_machine_is_touched(self, kind, image):
+        broken = json.loads(json.dumps(image))
+        if MALFORMED[kind] is None:
+            broken = list(broken)
+        else:
+            MALFORMED[kind](broken)
+        target = _machine(True, True)
+        before = machine_fingerprint(target)
+        with pytest.raises(CheckpointError):
+            restore_checkpoint(target, broken)
+        assert machine_fingerprint(target) == before
+
+    def test_the_unmodified_image_restores(self, image):
+        target = _machine(True, True)
+        restore_checkpoint(target, json.loads(json.dumps(image)))
+        assert target.clock.now == image["clock_now"]

@@ -1,5 +1,7 @@
 """Campaign plumbing: seed derivation, batching, merging, jobs-identity."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -102,6 +104,29 @@ class TestReportAssembly:
             SEED, COUNT, DEFAULT_BATCH_SIZE,
             sequential_report["max_steps"], list(reversed(runs)))
         assert shuffled == sequential_report
+
+
+class TestReportBytes:
+    """The report's bytes, pinned.  ``--jobs 1`` against ``--jobs 2``
+    runs the same code on both sides, so a deterministic change to what
+    the oracles compute (a machine-reuse leak, say) passes that compare;
+    it fails this one."""
+
+    DIGEST = "0a7412063f3cfc946ad015da17821fff1522e39b4d9b37c698fd1583f445011e"
+
+    def test_canonical_digest(self, sequential_report):
+        canonical = json.dumps(sequential_report, sort_keys=True,
+                               separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == self.DIGEST
+
+    def test_totals(self, sequential_report):
+        totals = sequential_report["totals"]
+        assert totals["programs"] == 50
+        assert totals["states"] == {"FAULTED": 39, "HALTED": 10,
+                                    "RUNNING": 1}
+        assert (totals["admitted"], totals["rejected"]) == (9, 41)
+        assert totals["noninterference_certified"] == 26
+        assert totals["coverage_tokens"] == 71
 
 
 class TestJobsIdentity:

@@ -2,8 +2,9 @@
 
 ``migration_probe`` interrupts a run after a handful of steps, ships the
 machine image through a JSON round-trip (the fleet wire format), restores
-it on a fresh machine, and finishes there.  Every observable field except
-the audit log must match the uninterrupted run bit-for-bit.
+it onto a scrubbed machine that is not the source, fingerprint-equal to a
+fresh build, and finishes there.  Every observable field except the audit
+log must match the uninterrupted run bit-for-bit.
 """
 
 import pytest

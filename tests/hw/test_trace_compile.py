@@ -22,10 +22,10 @@ from repro.hw.machine import (
     MachineConfig,
     build_baseline_machine,
     build_guillotine_machine,
+    machine_fingerprint,
 )
 from repro.hw.memory import Dram, PAGE_SIZE, PageTableEntry
 from repro.hw.trace import TRACE_HEAT_THRESHOLD, TRACE_MIN_LENGTH, VTRACE_CAP
-from repro.serve.pool import machine_fingerprint
 
 #: The canonical hot loop: 2 setup instructions, a 4-instruction loop
 #: body (3 ALU + the back-edge branch), and HALT.

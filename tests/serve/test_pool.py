@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.pool import ENGINES, MachinePool, machine_fingerprint
+from repro.hw.machine import ENGINES, machine_fingerprint
+from repro.serve.pool import MachinePool
 from repro.serve.service import ServiceConfig, _execute
 from repro.serve.workload import build_program
 
