@@ -15,9 +15,12 @@ Pipeline stages:
   with resolved direct targets and marked indirect jumps;
 * :mod:`repro.analysis.dataflow` — forward abstract interpretation on an
   interval domain over the 16 registers, resolving computed store/jump
-  targets and ``MAP``/``UNMAP`` arguments;
+  targets and ``MAP``/``UNMAP`` arguments (one fixpoint per analysis,
+  shared by every pass);
 * :mod:`repro.analysis.passes` — the lint-pass registry producing typed
   :class:`~repro.analysis.passes.Finding` objects;
+* :mod:`repro.analysis.taint` — the information-flow pass, a taint
+  fixpoint over the same interval states;
 * :mod:`repro.analysis.topology` — the static bus-graph prover.
 
 Entry points: :func:`analyze_program` (one binary -> report) and

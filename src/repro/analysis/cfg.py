@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import networkx as nx
-
 from repro.analysis.decoder import DecodedInstruction
 from repro.hw.isa import Op
 
@@ -21,6 +19,9 @@ from repro.hw.isa import Op
 EXIT_NODE = "exit"
 #: Sentinel node for jumps whose target is not inside the image.
 ESCAPE_NODE = "escape"
+
+#: A CFG node: a block leader, or one of the two sentinels.
+Node = int | str
 
 
 @dataclass
@@ -47,20 +48,30 @@ class BasicBlock:
 
 
 class ControlFlowGraph:
-    """CFG over basic blocks, backed by a :class:`networkx.DiGraph`.
+    """CFG over basic blocks as a plain adjacency dict.
 
     Nodes are block start addresses (plus the ``exit``/``escape``
-    sentinels); edges carry a ``kind`` attribute: ``fallthrough``,
-    ``branch``, ``jump``, ``halt``, ``fault``, or ``escape``.
+    sentinels).  ``successors[node]`` maps each successor to its edge
+    kind — ``fallthrough``, ``branch``, ``jump``, ``halt``, ``fault`` or
+    ``escape`` — in the order the edges were added; a repeated edge keeps
+    its first position and takes its last kind.  The graph is built once
+    in ``__init__`` and never changes afterwards, so the reachable block
+    set and the pc → block map are computed there once.  Nothing here is
+    quadratic in the image, which comes from the guest: no per-block
+    descendant sets are kept.
     """
 
     def __init__(self, decoded: list[DecodedInstruction], base_address: int) -> None:
         self.base_address = base_address
         self.decoded = decoded
         self.blocks: dict[int, BasicBlock] = {}
-        self.graph = nx.DiGraph()
+        self.successors: dict[Node, dict[Node, str]] = {}
         self._by_pc = {d.pc: d for d in decoded}
+        self._leader_of: dict[int, int] = {}
         self._build()
+        self._reachable: frozenset[int] = (
+            self.descendants(self.entry) | {self.entry}
+            if self.entry in self.blocks else frozenset())
 
     # ------------------------------------------------------------------
 
@@ -77,24 +88,29 @@ class ControlFlowGraph:
 
     def block_of(self, pc: int) -> BasicBlock | None:
         """The block containing ``pc`` (any instruction, not just leaders)."""
-        for block in self.blocks.values():
-            if block.start <= pc <= block.end:
-                return block
-        return None
+        leader = self._leader_of.get(pc)
+        return None if leader is None else self.blocks[leader]
 
-    def reachable_blocks(self) -> set[int]:
+    def descendants(self, node: Node) -> frozenset[int]:
+        """Block leaders reachable from ``node`` along one or more edges."""
+        seen: set[int] = set()
+        stack = [node]
+        while stack:
+            for successor in self.successors.get(stack.pop(), ()):
+                if isinstance(successor, int) and successor not in seen:
+                    seen.add(successor)
+                    stack.append(successor)
+        return frozenset(seen)
+
+    def reachable_blocks(self) -> frozenset[int]:
         """Block leaders reachable from the entry along static edges."""
-        if self.entry not in self.graph:
-            return set()
-        reachable = {self.entry} | nx.descendants(self.graph, self.entry)
-        return {n for n in reachable if isinstance(n, int)}
+        return self._reachable
 
     def unreachable_blocks(self) -> set[int]:
-        return set(self.blocks) - self.reachable_blocks()
+        return set(self.blocks) - self._reachable
 
     def is_reachable(self, pc: int) -> bool:
-        block = self.block_of(pc)
-        return block is not None and block.start in self.reachable_blocks()
+        return self._leader_of.get(pc) in self._reachable
 
     def indirect_jumps(self) -> list[DecodedInstruction]:
         """Every ``JR``/``IRET`` in the image, reachable or not."""
@@ -112,24 +128,53 @@ class ControlFlowGraph:
 
     def has_reachable_exit(self) -> bool:
         """Can the program reach a ``HALT`` (or park in ``WFI``)?"""
-        reachable = self.reachable_blocks()
-        for leader in reachable:
-            for decoded in self.blocks[leader]:
-                if decoded.op in (Op.HALT, Op.WFI):
-                    return True
-        return False
+        return any(decoded.op in (Op.HALT, Op.WFI)
+                   for leader in self._reachable
+                   for decoded in self.blocks[leader])
 
     def blocks_in_cycles(self) -> set[int]:
-        """Leaders of blocks that sit on some CFG cycle (loop bodies)."""
+        """Leaders of blocks that sit on some CFG cycle (loop bodies): the
+        blocks that reach themselves.
+
+        Found as Tarjan's strongly connected components with more than one
+        block or a self-edge, in time and memory linear in the graph."""
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        stack: list[int] = []
+        on_stack: set[int] = set()
         in_cycle: set[int] = set()
-        for component in nx.strongly_connected_components(self.graph):
-            nodes = {n for n in component if isinstance(n, int)}
-            if len(nodes) > 1:
-                in_cycle |= nodes
-            elif len(nodes) == 1:
-                (node,) = nodes
-                if self.graph.has_edge(node, node):
-                    in_cycle.add(node)
+        for root in self.blocks:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(self.successors[root]))]
+            while work:
+                node, successors = work[-1]
+                for successor in successors:
+                    if not isinstance(successor, int):
+                        continue
+                    if successor not in index:
+                        index[successor] = low[successor] = len(index)
+                        stack.append(successor)
+                        on_stack.add(successor)
+                        work.append((successor, iter(self.successors[successor])))
+                        break
+                    if successor in on_stack:
+                        low[node] = min(low[node], index[successor])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] == index[node]:
+                        component = [stack.pop()]
+                        while component[-1] != node:
+                            component.append(stack.pop())
+                        on_stack.difference_update(component)
+                        if len(component) > 1 or node in self.successors[node]:
+                            in_cycle.update(component)
         return in_cycle
 
     # ------------------------------------------------------------------
@@ -145,13 +190,13 @@ class ControlFlowGraph:
                 self.blocks[decoded.pc] = current
             assert current is not None
             current.instructions.append(decoded)
+            self._leader_of[decoded.pc] = current.start
             if decoded.is_terminator():
                 current = None
-        self.graph.add_nodes_from(self.blocks)
-        self.graph.add_node(EXIT_NODE)
-        self.graph.add_node(ESCAPE_NODE)
+        for node in (*self.blocks, EXIT_NODE, ESCAPE_NODE):
+            self.successors[node] = {}
         for leader, block in self.blocks.items():
-            self._wire_block(leader, block)
+            self._wire_block(self.successors[leader], block)
 
     def _find_leaders(self) -> set[int]:
         leaders = {self.decoded[0].pc}
@@ -165,27 +210,25 @@ class ControlFlowGraph:
                     leaders.add(target)
         return leaders
 
-    def _wire_block(self, leader: int, block: BasicBlock) -> None:
+    def _wire_block(self, edges: dict[Node, str], block: BasicBlock) -> None:
         terminator = block.terminator
         if terminator.instruction is None:
-            self.graph.add_edge(leader, EXIT_NODE, kind="fault")
+            edges[EXIT_NODE] = "fault"
             return
         op = terminator.instruction.op
         if op is Op.HALT:
-            self.graph.add_edge(leader, EXIT_NODE, kind="halt")
+            edges[EXIT_NODE] = "halt"
             return
         if terminator.is_indirect:
             # No static successor; dataflow may resolve it later.
             return
         for target in terminator.static_targets():
             if target in self._by_pc:
-                target_leader = self.block_of(target)
-                assert target_leader is not None
                 kind = ("fallthrough" if target == terminator.pc + 1
                         else "jump" if op in (Op.JMP, Op.JAL) else "branch")
-                self.graph.add_edge(leader, target_leader.start, kind=kind)
+                edges[self._leader_of[target]] = kind
             else:
-                self.graph.add_edge(leader, ESCAPE_NODE, kind="escape")
+                edges[ESCAPE_NODE] = "escape"
 
 
 def build_cfg(decoded: list[DecodedInstruction],

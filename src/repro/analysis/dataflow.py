@@ -11,6 +11,13 @@ with ``MOVI``/``MUL``/``ADDI`` chains.
 The analysis is a standard worklist fixpoint with widening: after a block
 has been visited a few times, growing bounds are widened to infinity, so
 loops (e.g. the E4 flood loop) converge immediately.
+
+Register 0 is the hardwired zero, as in the core: it is the constant 0 in
+every entry state and :func:`transfer` never writes it.
+
+This is the analyzer's only interval fixpoint.  The lint passes read its
+per-pc states, and so does the taint engine (:mod:`repro.analysis.taint`),
+which runs from :data:`RESET_STATE` in its may mode.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.cfg import ControlFlowGraph
-from repro.analysis.decoder import DecodedInstruction
+from repro.analysis.decoder import BINARY_OPS, DecodedInstruction
 from repro.hw.isa import NUM_REGISTERS, Op
 
 #: Block visits before widening kicks in.
@@ -86,10 +93,13 @@ class Interval:
 
     # -- lattice operations ------------------------------------------------
 
+    # Both return ``self`` when the result equals it, so a fixpoint whose
+    # states stop moving stops allocating.
+
     def join(self, other: "Interval") -> "Interval":
         lo = None if self.lo is None or other.lo is None else min(self.lo, other.lo)
         hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
-        return Interval(lo, hi)
+        return self if lo == self.lo and hi == self.hi else Interval(lo, hi)
 
     def widen(self, newer: "Interval") -> "Interval":
         lo = self.lo
@@ -98,7 +108,7 @@ class Interval:
         hi = self.hi
         if newer.hi is None or (hi is not None and newer.hi > hi):
             hi = None
-        return Interval(lo, hi)
+        return self if lo == self.lo and hi == self.hi else Interval(lo, hi)
 
     # -- arithmetic transfer -----------------------------------------------
 
@@ -130,7 +140,11 @@ TOP = Interval(None, None)
 #: One abstract machine state: a tuple of 16 intervals.
 State = tuple[Interval, ...]
 
-_INITIAL: State = tuple(TOP for _ in range(NUM_REGISTERS))
+_ZERO = Interval.const(0)
+#: Entry state of a guest whose registers are unknown (admission).
+UNKNOWN_STATE: State = (_ZERO,) + (TOP,) * (NUM_REGISTERS - 1)
+#: The concrete reset state: every register zero.
+RESET_STATE: State = (_ZERO,) * NUM_REGISTERS
 
 
 def _binop(op: Op, a: Interval, b: Interval) -> Interval:
@@ -161,36 +175,45 @@ def _binop(op: Op, a: Interval, b: Interval) -> Interval:
 
 
 def transfer(state: State, decoded: DecodedInstruction) -> State:
-    """Abstractly execute one instruction."""
+    """Abstractly execute one instruction.
+
+    An instruction that writes no general register, or writes r0, returns
+    ``state`` itself."""
     ins = decoded.instruction
-    if ins is None:
+    if ins is None or ins.rd == 0:
         return state
     op = ins.op
-    regs = list(state)
     if op is Op.MOVI:
-        regs[ins.rd] = Interval.const(ins.imm)
-    elif op is Op.MOV:
-        regs[ins.rd] = regs[ins.rs1]
+        value = Interval.const(ins.imm)
     elif op is Op.ADDI:
-        regs[ins.rd] = regs[ins.rs1].shift(ins.imm)
-    elif op in (Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.AND, Op.OR, Op.XOR,
-                Op.SHL, Op.SHR):
-        regs[ins.rd] = _binop(op, regs[ins.rs1], regs[ins.rs2])
+        value = state[ins.rs1].shift(ins.imm)
+    elif op in BINARY_OPS:
+        value = _binop(op, state[ins.rs1], state[ins.rs2])
+    elif op is Op.MOV:
+        value = state[ins.rs1]
     elif op is Op.JAL:
-        regs[ins.rd] = Interval.const(decoded.pc + 1)
+        value = Interval.const(decoded.pc + 1)
     elif op in (Op.LOAD, Op.RDCYCLE, Op.IORD):
-        regs[ins.rd] = TOP
-    # STORE, MAP, UNMAP, DOORBELL, WFI, FENCE, IOWR, SETTIMER, branches,
-    # JMP, JR, IRET, HALT, NOP write no general register.
+        value = TOP
+    else:
+        # STORE, MAP, UNMAP, DOORBELL, WFI, FENCE, IOWR, SETTIMER,
+        # branches, JMP, JR, IRET, HALT, NOP write no general register.
+        return state
+    regs = list(state)
+    regs[ins.rd] = value
     return tuple(regs)
 
 
 def _join_states(a: State, b: State) -> State:
-    return tuple(x.join(y) for x, y in zip(a, b))
+    if a is b:
+        return a
+    return tuple(x if x is y else x.join(y) for x, y in zip(a, b))
 
 
 def _widen_states(old: State, new: State) -> State:
-    return tuple(x.widen(y) for x, y in zip(old, new))
+    if old is new:
+        return old
+    return tuple(x if x is y else x.widen(y) for x, y in zip(old, new))
 
 
 class DataflowResult:
@@ -261,12 +284,14 @@ class DataflowResult:
         return None
 
 
-def run_dataflow(cfg: ControlFlowGraph) -> DataflowResult:
-    """Worklist fixpoint over block-entry states, then one recording pass."""
+def run_dataflow(cfg: ControlFlowGraph,
+                 entry: State = UNKNOWN_STATE) -> DataflowResult:
+    """Worklist fixpoint over block-entry states from ``entry`` (whose r0
+    must be 0), then one recording pass."""
     entry_states: dict[int, State] = {}
     visits: dict[int, int] = {}
     if cfg.entry in cfg.blocks:
-        entry_states[cfg.entry] = _INITIAL
+        entry_states[cfg.entry] = entry
         worklist = [cfg.entry]
     else:
         worklist = []
@@ -276,20 +301,19 @@ def run_dataflow(cfg: ControlFlowGraph) -> DataflowResult:
         state = entry_states[leader]
         for decoded in cfg.blocks[leader]:
             state = transfer(state, decoded)
-        for successor in cfg.graph.successors(leader):
+        for successor in cfg.successors[leader]:
             if not isinstance(successor, int):
                 continue
-            incoming = state
             existing = entry_states.get(successor)
             if existing is None:
-                entry_states[successor] = incoming
+                entry_states[successor] = state
                 worklist.append(successor)
                 continue
-            merged = _join_states(existing, incoming)
+            merged = _join_states(existing, state)
             visits[successor] = visits.get(successor, 0) + 1
             if visits[successor] > _WIDEN_AFTER:
                 merged = _widen_states(existing, merged)
-            if merged != existing:
+            if merged is not existing and merged != existing:
                 entry_states[successor] = merged
                 worklist.append(successor)
 

@@ -8,7 +8,8 @@ same decode path (see the module docstring of :mod:`repro.hw.isa`).
 
 Decoding never raises: an unknown opcode becomes an invalid
 :class:`DecodedInstruction` the CFG treats as a faulting terminator, which
-is what the core does at runtime.
+is what the core does at runtime.  A raw word outside ``[0, 2**64)`` is
+decoded as the 64-bit word DRAM would hold (``word & WORD_MASK``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.hw.isa import Instruction, Op, Program, decode, encode
+from repro.hw.isa import WORD_MASK, Instruction, Op, Program, decode, encode
 
 #: Conditional branches: two static successors (taken + fallthrough).
 BRANCH_OPS = frozenset({Op.BEQ, Op.BNE, Op.BLT, Op.BGE})
@@ -26,6 +27,9 @@ JUMP_OPS = frozenset({Op.JMP, Op.JAL})
 INDIRECT_OPS = frozenset({Op.JR, Op.IRET})
 #: Instructions after which execution cannot fall through.
 TERMINATOR_OPS = frozenset({Op.HALT}) | JUMP_OPS | INDIRECT_OPS
+#: Register-register ALU ops: ``rd = rs1 <op> rs2``.
+BINARY_OPS = frozenset({Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.AND, Op.OR,
+                        Op.XOR, Op.SHL, Op.SHR})
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,7 @@ def decode_stream(
     decoded: list[DecodedInstruction] = []
     for offset, word in enumerate(words):
         pc = base_address + offset
+        word &= WORD_MASK
         try:
             instruction = decode(word)
         except ValueError as exc:

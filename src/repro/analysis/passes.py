@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 from repro.analysis.cfg import ControlFlowGraph, build_cfg
 from repro.analysis.dataflow import DataflowResult, Interval, run_dataflow
 from repro.analysis.decoder import DecodedInstruction, decode_stream
-from repro.hw.isa import Instruction, Op, Program
+from repro.hw.isa import WORD_MASK, Instruction, Op, Program
 from repro.hw.memory import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -505,7 +505,8 @@ def _image_digest(
     """Digest of the program image, when the source is already words.
 
     Instruction lists may carry unresolved labels, so they are analyzed
-    uncached rather than half-assembled here."""
+    uncached rather than half-assembled here.  Each word is digested as
+    the 64-bit word DRAM would hold, as the decoder reads it."""
     if isinstance(source, Program):
         words: Sequence[int] = source.words
     elif isinstance(source, (list, tuple)) and all(
@@ -515,7 +516,7 @@ def _image_digest(
         return None
     hasher = hashlib.sha256()
     for word in words:
-        hasher.update(int(word).to_bytes(8, "little", signed=False))
+        hasher.update((int(word) & WORD_MASK).to_bytes(8, "little"))
     return hasher.hexdigest()
 
 

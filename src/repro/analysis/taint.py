@@ -5,10 +5,12 @@ cache, RAG contents — must only reach the world through hypervisor-mediated
 ports, and covert channels (timing, interrupt rate) must be closed.  Those
 are properties of *flows*, not of individual instructions, so the
 per-pattern lint passes in :mod:`repro.analysis.passes` cannot express
-them.  This module adds the missing rung: a taint lattice layered as a
-product domain on the existing interval dataflow
-(:mod:`repro.analysis.dataflow`), with a source/sink model derived from the
-concrete machine layout.
+them.  This module adds the missing rung: a taint lattice over registers
+and memory partitions, with a source/sink model derived from the concrete
+machine layout.  Addresses come from the interval dataflow
+(:mod:`repro.analysis.dataflow`): the taint fixpoint reads the per-pc
+interval states of the same :func:`~repro.analysis.dataflow.run_dataflow`
+result the lint passes read, so each analysis runs one interval fixpoint.
 
 **Sources.**  Loads whose resolved address interval overlaps a *secret
 window* (a weight/RAG/KV DRAM region described by a
@@ -30,11 +32,12 @@ instruction chain: the lattice tracks, per taint label, the shortest
 report pinpoints the exact instructions an auditor must look at.
 
 **Two soundness modes.**  ``may_mode=False`` (admission reports): entry
-registers are unknown (TOP) and a TOP address *is not evidence* — the
-analysis only reports flows it can ground in resolved addresses, so benign
-programs produce zero findings.  ``may_mode=True`` (the fuzz
-noninterference oracle): entry registers are the concrete reset state
-(all zero) and a TOP address *may touch everything* — the flow set
+registers are unknown (TOP, except the hardwired-zero r0) and a TOP
+address *is not evidence* — the analysis only reports flows it can ground
+in resolved addresses, so benign programs produce zero findings.
+``may_mode=True`` (the fuzz noninterference oracle): the interval
+dataflow starts from the concrete reset state (all zero) and a TOP
+address *may touch everything* — the flow set
 over-approximates every run, so an empty flow set is a machine-checkable
 noninterference certificate that the differential fuzzer then tests
 against two real executions differing only in the secret page.
@@ -46,23 +49,31 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
-
-from repro.analysis.cfg import ControlFlowGraph, build_cfg
-from repro.analysis.decoder import DecodedInstruction, decode_stream
-from repro.analysis.dataflow import Interval, State, TOP, transfer
+from repro.analysis.cfg import build_cfg
+from repro.analysis.dataflow import (
+    RESET_STATE,
+    TOP,
+    UNKNOWN_STATE,
+    DataflowResult,
+    Interval,
+    run_dataflow,
+)
+from repro.analysis.decoder import (
+    BINARY_OPS,
+    BRANCH_OPS,
+    DecodedInstruction,
+    decode_stream,
+)
 from repro.hw.isa import NUM_REGISTERS, Instruction, Op, Program
 from repro.hw.memory import PAGE_SIZE
 
 #: The reserved taint label for cycle-counter reads.
 TIMER_LABEL = "timer"
 
-#: Block visits before interval widening kicks in (mirrors the dataflow).
-_WIDEN_AFTER = 3
 #: Hard ceiling on witness-chain length (chains are pc-deduplicated, so
 #: this only guards degenerate hand-built programs).
 _MAX_CHAIN = 96
-#: Worklist-iteration safety valve; the product domain is finite so this
+#: Worklist-iteration safety valve; the taint lattice is finite so this
 #: is unreachable in practice, but an incomplete fixpoint must fail safe.
 _MAX_ITERATIONS = 20_000
 
@@ -91,10 +102,10 @@ def taint_source(label: str, pc: int) -> TaintVec:
 
 def taint_join(a: TaintVec, b: TaintVec) -> TaintVec:
     """Lattice join: union of labels; per label, the minimal witness chain."""
+    if not b or a is b:
+        return a
     if not a:
         return b
-    if not b:
-        return a
     merged: dict[str, Chain] = dict(a)
     for label, chain in b:
         current = merged.get(label)
@@ -271,7 +282,7 @@ class TaintResult:
 
 
 # ---------------------------------------------------------------------------
-# The product fixpoint
+# The taint fixpoint
 # ---------------------------------------------------------------------------
 
 _WORD_SPACE = 1 << 64
@@ -293,20 +304,13 @@ def _normalize(interval: Interval) -> Interval:
     return interval
 
 
-def _pin_r0(state: State) -> State:
-    """Register 0 is hardwired to zero in the concrete core; keep the
-    abstract state at least as precise."""
-    if state[0].is_const and state[0].value == 0:
-        return state
-    return (Interval.const(0),) + tuple(state[1:])
-
-
 class _Engine:
     """One taint-analysis run: fixpoint, then a recording sweep."""
 
-    def __init__(self, cfg: ControlFlowGraph, model: SourceSinkModel,
+    def __init__(self, dataflow: DataflowResult, model: SourceSinkModel,
                  may_mode: bool) -> None:
-        self.cfg = cfg
+        self.dataflow = dataflow
+        self.cfg = dataflow.cfg
         self.model = model
         self.may = may_mode
         self.windows: tuple[MemoryWindow, ...] = (
@@ -368,29 +372,31 @@ class _Engine:
 
     # -- the transfer function ---------------------------------------------
 
-    def step(self, decoded: DecodedInstruction, iv_before: State,
+    def _address(self, decoded: DecodedInstruction, register: int,
+                 offset: int = 0) -> Interval:
+        """Interval of ``register`` (+ ``offset``) just before ``decoded``."""
+        return _normalize(self.dataflow.register_before(
+            decoded.pc, register)).shift(offset)
+
+    def step(self, decoded: DecodedInstruction,
              regs: list[TaintVec], mem: list[TaintVec]) -> None:
-        """Taint-execute one instruction in place (``regs``/``mem``)."""
+        """Taint-execute one instruction in place (``regs``/``mem``).
+
+        ``regs[0]`` is never written, so it stays untainted: r0 is the
+        hardwired zero."""
         ins = decoded.instruction
         if ins is None:
             return
         op = ins.op
         pc = decoded.pc
+        written: TaintVec | None = None      # rd's new taint, if op writes rd
 
-        def taint_of(register: int) -> TaintVec:
-            return UNTAINTED if register == 0 else regs[register]
-
-        def write(register: int, vec: TaintVec) -> None:
-            if register != 0:
-                regs[register] = vec
-
-        if op is Op.MOVI:
-            write(ins.rd, UNTAINTED)
-        elif op in (Op.MOV, Op.ADDI):
-            write(ins.rd, taint_through(taint_of(ins.rs1), pc))
-        elif op in (Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.AND, Op.OR, Op.XOR,
-                    Op.SHL, Op.SHR):
-            left, right = taint_of(ins.rs1), taint_of(ins.rs2)
+        if op is Op.MOVI or op is Op.JAL or op is Op.IORD:
+            written = UNTAINTED
+        elif op is Op.MOV or op is Op.ADDI:
+            written = taint_through(regs[ins.rs1], pc)
+        elif op in BINARY_OPS:
+            left, right = regs[ins.rs1], regs[ins.rs2]
             if op is Op.SUB:
                 self._check_timing_measurement(pc, left, right)
             if op is Op.DIV and right:
@@ -398,40 +404,34 @@ class _Engine:
                     "branch-channel", right, pc,
                     "DIV divisor is tainted: division-fault delivery leaks "
                     "one bit per run")
-            write(ins.rd, taint_through(taint_join(left, right), pc))
-        elif op is Op.JAL:
-            write(ins.rd, UNTAINTED)
+            written = taint_through(taint_join(left, right), pc)
         elif op is Op.RDCYCLE:
-            write(ins.rd, taint_source(TIMER_LABEL, pc)
-                  if self.model.timer_source else UNTAINTED)
-        elif op is Op.IORD:
-            write(ins.rd, UNTAINTED)
+            written = (taint_source(TIMER_LABEL, pc)
+                       if self.model.timer_source else UNTAINTED)
         elif op is Op.LOAD:
-            address_taint = taint_of(ins.rs1)
+            address_taint = regs[ins.rs1]
             if address_taint:
                 self._emit(
                     "address-channel", address_taint, pc,
                     "load address derives from tainted data "
                     "(cache-set channel)")
-            address = _normalize(iv_before[ins.rs1]).shift(ins.imm)
-            touched = self._touched(address)
+            touched = self._touched(self._address(decoded, ins.rs1, ins.imm))
             value: TaintVec = UNTAINTED
             for index in touched:
                 value = taint_join(value, mem[index])
             for index in self._secret_indices(touched):
                 value = taint_join(
                     value, taint_source(self.windows[index].label, pc))
-            write(ins.rd, taint_through(value, pc))
+            written = taint_through(value, pc)
         elif op is Op.STORE:
-            address_taint = taint_of(ins.rs1)
+            address_taint = regs[ins.rs1]
             if address_taint:
                 self._emit(
                     "address-channel", address_taint, pc,
                     "store address derives from tainted data "
                     "(cache-set channel)")
-            value = taint_of(ins.rs2)
-            address = _normalize(iv_before[ins.rs1]).shift(ins.imm)
-            touched = self._touched(address)
+            value = regs[ins.rs2]
+            touched = self._touched(self._address(decoded, ins.rs1, ins.imm))
             if value:
                 for index in self._egress_indices(touched):
                     self._emit(
@@ -443,20 +443,20 @@ class _Engine:
                 for index in touched:
                     mem[index] = taint_join(mem[index], stored)
         elif op is Op.DOORBELL:
-            payload = taint_of(ins.rs1)
+            payload = regs[ins.rs1]
             if payload:
                 self._emit(
                     "exfil-doorbell", payload, pc,
                     "DOORBELL payload is tainted: one word of secret-derived "
                     "data per ring")
         elif op is Op.IOWR:
-            value = taint_of(ins.rs1)
+            value = regs[ins.rs1]
             if value:
                 self._emit(
                     "exfil-io", value, pc,
                     "IOWR writes tainted data to a port")
-        elif op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE):
-            condition = taint_join(taint_of(ins.rs1), taint_of(ins.rs2))
+        elif op in BRANCH_OPS:
+            condition = taint_join(regs[ins.rs1], regs[ins.rs2])
             if condition:
                 self._emit(
                     "branch-channel", condition, pc,
@@ -467,28 +467,30 @@ class _Engine:
                     if leader is not None:
                         self._tainted_branches.append((leader, pc, condition))
         elif op is Op.JR:
-            target = taint_of(ins.rs1)
+            target = regs[ins.rs1]
             if target:
                 self._emit(
                     "branch-channel", target, pc,
                     "indirect-jump target derives from tainted data "
                     "(control channel)")
         elif op is Op.SETTIMER:
-            delay = taint_of(ins.rs1)
+            delay = regs[ins.rs1]
             if delay:
                 self._emit(
                     "branch-channel", delay, pc,
                     "SETTIMER delay derives from tainted data "
                     "(interrupt-timing channel)")
         elif op is Op.MAP:
-            self._check_map(decoded, iv_before)
+            self._check_map(decoded, regs)
         elif op is Op.UNMAP:
-            argument = taint_of(ins.rs1)
+            argument = regs[ins.rs1]
             if argument:
                 self._emit(
                     "address-channel", argument, pc,
                     "UNMAP operand derives from tainted data")
         # WFI, FENCE, JMP, HALT, IRET: no taint effect.
+        if written is not None and ins.rd:
+            regs[ins.rd] = written
 
     def _check_timing_measurement(self, pc: int, left: TaintVec,
                                   right: TaintVec) -> None:
@@ -507,20 +509,18 @@ class _Engine:
             "(prime+probe shape)")
 
     def _check_map(self, decoded: DecodedInstruction,
-                   iv_before: State) -> None:
+                   regs: list[TaintVec]) -> None:
         """A runtime MAP whose ppn may alias a secret or egress frame gives
         the guest a fresh virtual window onto protected physical memory —
         the one way around the virtual-window source model."""
         ins = decoded.instruction
         assert ins is not None
-        operands = taint_join(
-            UNTAINTED if ins.rs1 == 0 else self._regs_view[ins.rs1],
-            UNTAINTED if ins.rs2 == 0 else self._regs_view[ins.rs2])
+        operands = taint_join(regs[ins.rs1], regs[ins.rs2])
         if operands:
             self._emit(
                 "address-channel", operands, decoded.pc,
                 "MAP operand derives from tainted data")
-        ppn = _normalize(iv_before[ins.rs2])
+        ppn = self._address(decoded, ins.rs2)
         frames = (tuple((f, "secret") for f in self.model.secret_frames)
                   + tuple((f, "egress") for f in self.model.egress_frames))
         if not frames:
@@ -557,17 +557,14 @@ class _Engine:
 
     # -- block transfer ----------------------------------------------------
 
-    def run_block(self, leader: int, iv_state: State,
-                  regs: tuple[TaintVec, ...], mem: tuple[TaintVec, ...],
-                  ) -> tuple[State, tuple[TaintVec, ...],
-                             tuple[TaintVec, ...]]:
+    def run_block(self, leader: int, regs: tuple[TaintVec, ...],
+                  mem: tuple[TaintVec, ...],
+                  ) -> tuple[tuple[TaintVec, ...], tuple[TaintVec, ...]]:
         reg_list = list(regs)
         mem_list = list(mem)
-        self._regs_view = reg_list
         for decoded in self.cfg.blocks[leader]:
-            self.step(decoded, iv_state, reg_list, mem_list)
-            iv_state = _pin_r0(transfer(iv_state, decoded))
-        return iv_state, tuple(reg_list), tuple(mem_list)
+            self.step(decoded, reg_list, mem_list)
+        return tuple(reg_list), tuple(mem_list)
 
     # -- the covert-channel post-pass --------------------------------------
 
@@ -596,17 +593,11 @@ class _Engine:
         """Blocks executed on some but not all outcomes of the branch
         terminating ``leader``: the symmetric difference of its successors'
         descendant sets (a control-dependence approximation)."""
-        successors = [s for s in self.cfg.graph.successors(leader)]
-        reachsets = []
-        for successor in successors:
-            if isinstance(successor, int):
-                reachable = {successor} | {
-                    node for node in nx.descendants(self.cfg.graph, successor)
-                    if isinstance(node, int)
-                }
-            else:
-                reachable = set()
-            reachsets.append(reachable)
+        reachsets = [
+            self.cfg.descendants(successor) | {successor}
+            if isinstance(successor, int) else frozenset()
+            for successor in self.cfg.successors[leader]
+        ]
         region: set[int] = set()
         for i, left in enumerate(reachsets):
             for right in reachsets[i + 1:]:
@@ -620,37 +611,37 @@ def analyze_taint(
     model: SourceSinkModel | None = None,
     base_address: int = 0,
     may_mode: bool = False,
-    cfg: ControlFlowGraph | None = None,
+    dataflow: DataflowResult | None = None,
 ) -> TaintResult:
-    """Run the product (interval × taint) fixpoint and report all flows.
+    """Run the taint fixpoint and report all flows.
 
-    Pass either raw ``source`` material or a prebuilt ``cfg``.  See the
-    module docstring for the two soundness modes.
+    Pass either raw ``source`` material or the ``dataflow`` result of a
+    definite-mode analysis that already ran (the ``taint-flows`` pass
+    hands over the lint passes' result).  From ``source``, the interval
+    dataflow runs from :data:`RESET_STATE` in may mode and from
+    :data:`UNKNOWN_STATE` otherwise.  See the module docstring for the two
+    soundness modes.
     """
-    if cfg is None:
+    if dataflow is None:
         if source is None:
-            raise ValueError("need either source or cfg")
-        decoded = decode_stream(source, base_address)
-        cfg = build_cfg(decoded, base_address)
+            raise ValueError("need either source or dataflow")
+        cfg = build_cfg(decode_stream(source, base_address), base_address)
+        dataflow = run_dataflow(
+            cfg, RESET_STATE if may_mode else UNKNOWN_STATE)
+    cfg = dataflow.cfg
     if model is None:
         model = SourceSinkModel.default()
-    engine = _Engine(cfg, model, may_mode)
+    engine = _Engine(dataflow, model, may_mode)
 
-    if may_mode:
-        initial_iv: State = tuple(Interval.const(0)
-                                  for _ in range(NUM_REGISTERS))
-    else:
-        initial_iv = _pin_r0(tuple(TOP for _ in range(NUM_REGISTERS)))
     initial_regs: tuple[TaintVec, ...] = (UNTAINTED,) * NUM_REGISTERS
     initial_mem: tuple[TaintVec, ...] = (
         (UNTAINTED,) * (len(engine.windows) + 1))
 
-    BlockState = tuple[State, tuple[TaintVec, ...], tuple[TaintVec, ...]]
+    BlockState = tuple[tuple[TaintVec, ...], tuple[TaintVec, ...]]
     entry_states: dict[int, BlockState] = {}
-    visits: dict[int, int] = {}
     worklist: deque[int] = deque()
     if cfg.entry in cfg.blocks:
-        entry_states[cfg.entry] = (initial_iv, initial_regs, initial_mem)
+        entry_states[cfg.entry] = (initial_regs, initial_mem)
         worklist.append(cfg.entry)
 
     converged = True
@@ -661,27 +652,20 @@ def analyze_taint(
             converged = False
             break
         leader = worklist.popleft()
-        iv_state, regs, mem = entry_states[leader]
-        out = engine.run_block(leader, iv_state, regs, mem)
-        for successor in cfg.graph.successors(leader):
+        out_regs, out_mem = engine.run_block(leader, *entry_states[leader])
+        for successor in cfg.successors[leader]:
             if not isinstance(successor, int):
                 continue
             existing = entry_states.get(successor)
             if existing is None:
-                entry_states[successor] = out
+                entry_states[successor] = (out_regs, out_mem)
                 worklist.append(successor)
                 continue
-            visits[successor] = visits.get(successor, 0) + 1
-            widen = visits[successor] > _WIDEN_AFTER
-            old_iv, old_regs, old_mem = existing
-            new_iv = tuple(
-                (old.widen(old.join(new)) if widen else old.join(new))
-                for old, new in zip(old_iv, out[0]))
-            new_regs = tuple(taint_join(old, new)
-                             for old, new in zip(old_regs, out[1]))
-            new_mem = tuple(taint_join(old, new)
-                            for old, new in zip(old_mem, out[2]))
-            merged = (_pin_r0(new_iv), new_regs, new_mem)
+            old_regs, old_mem = existing
+            merged = (
+                tuple(map(taint_join, old_regs, out_regs)),
+                tuple(map(taint_join, old_mem, out_mem)),
+            )
             if merged != existing:
                 entry_states[successor] = merged
                 if successor not in worklist:
@@ -690,8 +674,7 @@ def analyze_taint(
     # Recording sweep over the converged states, in pc order.
     engine._recording = True
     for leader in sorted(entry_states):
-        iv_state, regs, mem = entry_states[leader]
-        engine.run_block(leader, iv_state, regs, mem)
+        engine.run_block(leader, *entry_states[leader])
     engine.covert_doorbell_pass()
 
     if not converged and may_mode:
@@ -772,8 +755,7 @@ def _register_pass() -> None:
         flow, each with a minimal witness path."""
         model = ctx.sources if ctx.sources is not None else (
             SourceSinkModel.default())
-        result = analyze_taint(model=model, base_address=ctx.base_address,
-                               may_mode=False, cfg=ctx.cfg)
+        result = analyze_taint(model=model, dataflow=ctx.dataflow)
         return [flow_to_finding(flow) for flow in result.flows]
 
 

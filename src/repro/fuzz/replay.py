@@ -35,6 +35,7 @@ from repro.fuzz.oracles import (
     ProgramOutcome,
     check_program,
 )
+from repro.hw.isa import WORD_MASK
 
 REPLAY_SCHEMA = "repro.replay/1"
 
@@ -234,7 +235,8 @@ def load_artifact(path: str) -> dict:
     Raises :class:`repro.artifacts.ArtifactError` when the file is
     unreadable, malformed, or shaped unlike a ``repro.replay/1`` record —
     including a golden record with nothing to compare (an empty
-    ``expected.record`` would replay as a vacuous pass)."""
+    ``expected.record`` would replay as a vacuous pass) and a program
+    word that is not a hex number in ``[0, 2**64)``."""
     artifact = load_document(path, REPLAY_SCHEMA, {
         "kind": str, "name": str, "max_steps": int,
         "program": dict, "program.words_hex": list,
@@ -246,6 +248,14 @@ def load_artifact(path: str) -> dict:
     if artifact["kind"] == "golden" and not expected["record"]:
         raise ArtifactError("field expected.record is empty")
     check_items("program.words_hex", artifact["program"]["words_hex"], str)
+    for text in artifact["program"]["words_hex"]:
+        try:
+            word = int(text, 16)
+        except ValueError:
+            word = -1
+        if not 0 <= word <= WORD_MASK:
+            raise ArtifactError(
+                f"field program.words_hex holds {text!r}, not a 64-bit word")
     check_items("expected.coverage", expected["coverage"], str)
     check_items("expected.violations", expected["violations"], dict)
     if not all(type(v.get("oracle")) is str for v in expected["violations"]):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import analyze_program
 from repro.core.sandbox import GuillotineSandbox, UnsandboxedDeployment
 from repro.errors import GuestRejected, TopologyRejected
 from repro.eventlog import CATEGORY_ADMISSION
@@ -69,6 +70,33 @@ class TestEnforcePolicy:
                 sandbox.hypervisor.load_guest(entry.build(), name=entry.name)
             refused.append(entry.name)
         assert len(refused) >= 6
+
+
+#: ``store r5, r0, 3`` writes code word 3: r0 is the hardwired zero, even
+#: after a ``movi r0`` that tries to move it.
+R0_STORES = {
+    "plain": [isa.movi(5, 7), isa.store(5, 0, 3), isa.halt()],
+    "after-movi-r0": [isa.movi(0, 4096), isa.movi(5, 7), isa.store(5, 0, 3),
+                      isa.halt()],
+}
+
+
+class TestStoreThroughR0:
+    @pytest.mark.parametrize("name", sorted(R0_STORES))
+    def test_analyzer_reports_wx_error(self, name):
+        report = analyze_program(assemble(R0_STORES[name]))
+        assert [f.pc for f in report.errors if f.category == "wx"] == [
+            len(R0_STORES[name]) - 2]
+
+    @pytest.mark.parametrize("name", sorted(R0_STORES))
+    def test_enforce_refuses_before_dram(self, sandbox, name):
+        bank = sandbox.machine.banks["model_dram"]
+        before = bank.snapshot(0, 64)
+        with pytest.raises(GuestRejected) as excinfo:
+            sandbox.hypervisor.load_guest(assemble(R0_STORES[name]),
+                                          name=name)
+        assert any(f.category == "wx" for f in excinfo.value.findings)
+        assert bank.snapshot(0, 64) == before
 
 
 class TestPolicyKnob:

@@ -1,7 +1,8 @@
 """Interval abstract interpretation: constants, joins, widening, resolution."""
 
+from repro.analysis import analyze_program
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import TOP, Interval, run_dataflow
+from repro.analysis.dataflow import RESET_STATE, TOP, Interval, run_dataflow
 from repro.analysis.decoder import decode_stream
 from repro.hw.asm import asm
 from repro.hw.isa import Op
@@ -111,3 +112,45 @@ class TestDataflow:
         """)
         assert flow.state_before(1) is None
         assert flow.register_before(1, 5).is_top
+
+
+class TestHardwiredZero:
+    """r0 is the hardwired zero in every state, as it is in the core."""
+
+    def test_r0_is_zero_at_entry(self):
+        cfg, flow = _flow("""
+            movi r1, 5
+            halt
+        """)
+        assert flow.register_before(0, 0) == Interval.const(0)
+        assert flow.register_before(0, 1).is_top
+        assert flow.register_before(1, 0) == Interval.const(0)
+
+    def test_movi_r0_does_not_write_it(self):
+        cfg, flow = _flow("""
+            movi r0, 4096
+            addi r0, r0, 1
+            halt
+        """)
+        assert flow.register_before(1, 0) == Interval.const(0)
+        assert flow.register_before(2, 0) == Interval.const(0)
+
+    def test_jr_r0_resolves_to_zero(self):
+        text = """
+            movi r1, 1
+            jr r0
+        """
+        cfg, flow = _flow(text)
+        jr = _only(cfg.decoded, Op.JR)
+        assert flow.jump_target(jr) == Interval.const(0)
+        report = analyze_program(asm(text))
+        assert not [f for f in report.findings
+                    if f.message == "indirect jump with unresolvable target"]
+
+    def test_reset_entry_state_is_all_zero(self):
+        cfg = build_cfg(decode_stream(asm("""
+            add r3, r1, r2
+            halt
+        """)))
+        flow = run_dataflow(cfg, RESET_STATE)
+        assert flow.register_before(1, 3) == Interval.const(0)

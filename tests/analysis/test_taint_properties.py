@@ -1,4 +1,4 @@
-"""Property suite for the taint lattice and product-domain soundness.
+"""Property suite for the taint lattice and the taint analysis's soundness.
 
 Two layers:
 

@@ -285,6 +285,7 @@ _REPLAY_EDITS = {
     "coverage-null": (("expected", "coverage"), None),
     "coverage-integers": (("expected", "coverage"), [1, 2]),
     "max-steps-string": (("max_steps",), "x"),
+    "words-hex-too-wide": (("program", "words_hex"), ["0x1ffffffffffffffff"]),
 }
 
 #: Malformed ledgers: a well-formed document around bad entries.
@@ -349,6 +350,9 @@ class TestMalformedArtifacts:
              "field expected.coverage holds an integer, not a string"),
             ("max-steps-string",
              "field max_steps is a string, not an integer"),
+            ("words-hex-too-wide",
+             "field program.words_hex holds '0x1ffffffffffffffff', "
+             "not a 64-bit word"),
         )
     ] + [
         (command, kind, reason)
