@@ -11,6 +11,7 @@ wrong schema, a field of the wrong JSON type) into one
 from __future__ import annotations
 
 import json
+from functools import cache
 
 #: How each Python type a field may be checked against reads in JSON.
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
@@ -38,6 +39,7 @@ def _describe(kind) -> str:
     return _JSON_NAMES[kind]
 
 
+@cache  # the kinds are the loaders' constant field tables
 def _types(kind) -> tuple:
     return sum(map(_types, kind), ()) if isinstance(kind, tuple) else (kind,)
 

@@ -3,7 +3,7 @@
 The fleet layer is where the paper's §3.3 network story becomes
 mechanical: a regulator host and every member machine's NIC share one
 deterministic :class:`repro.net.Network`, guests migrate between
-machines through ``repro.fleet/1`` checkpoint artifacts, and a quorum
+machines through ``repro.fleet/2`` checkpoint artifacts, and a quorum
 vote over that network drives every member's kill switch — degrading to
 per-machine fail-closed isolation whenever the fabric is partitioned.
 """

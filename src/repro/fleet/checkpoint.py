@@ -1,36 +1,49 @@
 """VM checkpoint/restore: serialize a guest machine image, rebuild it elsewhere.
 
-A checkpoint is a ``repro.fleet/1`` JSON artifact (the same idiom as the
-PR 6 ``repro.replay/1`` golden artifacts: hex words, sorted keys, no
-wall-clock anywhere) capturing everything a restored guest needs to keep
-executing **cycle-identically**:
+A checkpoint is a ``repro.fleet/2`` JSON artifact of kind ``"checkpoint"``
+(the same idiom as the ``repro.replay/1`` golden artifacts: hex words,
+string keys, no wall-clock anywhere) capturing everything a restored guest
+needs to keep executing **cycle-identically**.  The image is sparse: it
+lists what differs from a power-on machine, and an entry it does not list
+is at its power-on value.
 
-* every DRAM bank's words (sparse: only non-zero words are stored),
+* every DRAM bank's non-zero words (``words_hex``: address -> hex word;
+  an absent word is 0),
 * per-core architectural state — registers, pc, run state, exception
   machinery, the SETTIMER deadline (stored relative to virtual ``now``),
   retirement counters,
 * per-core *timing-architectural* microarch state — TLB (vpn→ppn pairs in
-  LRU order), private cache tag arrays, branch-predictor counters — plus
-  the machine's shared cache levels,
+  LRU order), each private cache's non-empty sets (``{set index: [tags,
+  most recent first]}``; an absent set is empty), and the branch-predictor
+  counters that left their weakly-not-taken reset value (``{index:
+  counter}``; an absent counter is 1) — plus the machine's shared cache
+  levels in the same set form,
 * per-core MMU translation tables with the lockdown / weight regions,
 * per-core LAPIC queues (pending, per-source windows, coalesced slots),
 * the virtual clock reading at capture time.
 
-Restore replays the image onto a power-on machine (a fresh build or a
-scrubbed one) of identical geometry.  The whole document is checked
-against the destination first, so a malformed image raises
-:class:`CheckpointError` and leaves the machine untouched.  Then banks are
-reloaded (which drops decoded-instruction and superblock-trace caches —
-purely Python-cost state), translation tables are replayed through the
+Restore writes the image over power-on contents, whatever the destination
+held before.  The whole document is checked against the destination first
+— identical geometry, every bank, core, cache, allocator and LAPIC of the
+destination named and no other, every word, set, tag, counter and TLB
+entry one the hardware can hold — so a malformed image raises
+:class:`CheckpointError` and leaves the machine untouched.  Then each bank
+is zeroed and its listed words applied (which also drops the
+decoded-instruction and superblock-trace caches — purely Python-cost
+state), each cache is flushed and each predictor reset before the listed
+sets and counters go in, translation tables are replayed through the
 normal MMU interfaces and the lockdown re-issued, and the destination
 clock is ticked forward to the checkpoint's ``now`` so absolute
-timestamps (LAPIC windows, cycle counters) line up.
+timestamps (LAPIC windows, cycle counters) line up.  Restore is not
+:meth:`~repro.hw.machine.Machine.scrub`: it leaves alone what the image
+does not carry.
 
 Deliberately *not* captured: the event log (the audit trail belongs to
 the physical machine, and its hash chain cannot be replayed elsewhere),
 device state (guests own no device sessions at migration time), DRAM
-fault-injection state (environment, not guest), and operator-facing
-debug state (watchpoints, speculation config).
+fault-injection state (environment, not guest: a stuck cell on the
+destination stays stuck), and operator-facing debug state (watchpoints,
+speculation config).
 """
 
 from __future__ import annotations
@@ -41,9 +54,9 @@ from repro.artifacts import ArtifactError, check_fields, check_items, json_name
 from repro.errors import MemoryFault
 from repro.hw.core import CoreState
 from repro.hw.machine import Machine
-from repro.hw.memory import Mmu, PageTableEntry
+from repro.hw.memory import WORD_MASK, Mmu, PageTableEntry
 
-CHECKPOINT_SCHEMA = "repro.fleet/1"
+CHECKPOINT_SCHEMA = "repro.fleet/2"
 
 #: Geometry fields that must match between source and destination.
 _CONFIG_FIELDS = (
@@ -79,7 +92,7 @@ _CORE_FIELDS = {
     "exception_vector": (int, _NULL), "saved_pc": int, "in_handler": bool,
     "timer_remaining": (int, _NULL), "timer_fires": int,
     "instructions_retired": int, "faults": int, "last_fault": (str, _NULL),
-    "tlb": list, "branch_predictor": list, "private_caches": dict,
+    "tlb": list, "branch_predictor": dict, "private_caches": dict,
     "mmu": dict, "mmu.table": dict, "mmu.exec_region": (list, _NULL),
     "mmu.weight_region": (list, _NULL),
 }
@@ -100,14 +113,16 @@ class CheckpointError(ValueError):
 
 
 def _bank_block(bank) -> dict[str, Any]:
-    words = bank.snapshot()
     return {
         "size_words": bank.size,
-        "words_hex": {
-            str(address): f"0x{word:016x}"
-            for address, word in enumerate(words) if word
-        },
+        "words_hex": {str(address): f"0x{word:016x}"
+                      for address, word in bank.nonzero_words()},
     }
+
+
+def _string_keys(snapshot: dict[int, Any]) -> dict[str, Any]:
+    """A sparse cache or predictor snapshot with JSON object keys."""
+    return {str(index): value for index, value in snapshot.items()}
 
 
 def _mmu_block(mmu) -> dict[str, Any]:
@@ -133,6 +148,10 @@ def capture_checkpoint(machine: Machine) -> dict[str, Any]:
     lapics = {}
     for core in machine.model_cores + machine.hv_cores:
         state = core.capture_architectural_state()
+        state["branch_predictor"] = _string_keys(state["branch_predictor"])
+        state["private_caches"] = {
+            name: _string_keys(sets)
+            for name, sets in state["private_caches"].items()}
         state["mmu"] = _mmu_block(core.mmu)
         cores[core.name] = state
         lapic = machine.lapics.get(core.name)
@@ -152,15 +171,20 @@ def capture_checkpoint(machine: Machine) -> dict[str, Any]:
                        for name in sorted(machine.allocators)},
         "cores": cores,
         "lapics": lapics,
-        "shared_caches": {cache.name: cache.lines_snapshot()
+        "shared_caches": {cache.name: _string_keys(cache.lines_snapshot())
                           for cache in machine.shared_caches},
     }
 
 
-def _known(kind: str, names, known) -> None:
+def _named(kind: str, names, known) -> None:
+    """``names`` are exactly the ``known`` ones: restore writes every
+    structure of the destination, so the image must name each of them."""
     for name in names:
         if name not in known:
             raise CheckpointError(f"checkpoint names unknown {kind} {name!r}")
+    for name in known:
+        if name not in names:
+            raise CheckpointError(f"checkpoint lacks {kind} {name!r}")
 
 
 def _check_block(name: str, block, fields: dict) -> None:
@@ -191,44 +215,96 @@ def _check_tuple(name: str, value, shape: str, kinds: tuple) -> None:
         raise ArtifactError(f"field {name} is {value!r}, not {shape}")
 
 
-def _decode_words(name: str, block, size: int) -> list[int]:
-    """A bank block's full word image."""
+def _index(name: str, key, size: int) -> int:
+    """The object key ``key`` of field ``name`` as an index in 0..size-1."""
+    if not (type(key) is str and key.isascii() and key.isdecimal()
+            and int(key) < size):
+        raise ArtifactError(
+            f"{name}: key {key!r} is not an index in 0..{size - 1}")
+    return int(key)
+
+
+def _decode_words(name: str, block, size: int) -> dict[int, int]:
+    """A bank block's listed words, address -> word."""
     _check_block(f"banks.{name}", block, {"size_words": int,
                                           "words_hex": dict})
     if block["size_words"] != size:
         raise ArtifactError(f"field banks.{name}.size_words is "
                             f"{block['size_words']}, not {size}")
-    image = [0] * size
+    words = {}
     for address, word_hex in block["words_hex"].items():
-        if not (address.isdecimal() and int(address) < size):
-            raise ArtifactError(f"banks.{name}.words_hex: address "
-                                f"{address!r} is not in 0..{size - 1}")
+        index = _index(f"banks.{name}.words_hex", address, size)
         try:  # TypeError: not a string
-            image[int(address)] = int(word_hex, 16)
+            word = int(word_hex, 16)
+            if not 0 <= word <= WORD_MASK:
+                raise ValueError
         except (TypeError, ValueError):
             raise ArtifactError(f"field banks.{name}.words_hex.{address} "
-                                f"is not a hex string") from None
-    return image
+                                f"is not a 64-bit hex word") from None
+        words[index] = word
+    return words
 
 
-def _decode_core(name: str, state, core) -> tuple:
-    """Check one core's state; return its translation state, the
-    arguments of :meth:`~repro.hw.memory.Mmu.restore_translation`."""
+def _decode_sets(name: str, sets, cache) -> dict[int, list[int]]:
+    """A cache's listed sets: each index in range, each set at most
+    ``ways`` distinct tags."""
+    if type(sets) is not dict:
+        raise ArtifactError(
+            f"field {name} is {json_name(sets)}, not an object")
+    decoded = {}
+    for key, tags in sets.items():
+        index = _index(name, key, cache.num_sets)
+        _check_array(f"{name}.{key}", tags, int)
+        if (len(tags) > cache.ways or len(set(tags)) != len(tags)
+                or any(tag < 0 for tag in tags)):
+            raise ArtifactError(
+                f"field {name}.{key} is not at most {cache.ways} distinct "
+                f"non-negative tags")
+        decoded[index] = tags
+    return decoded
+
+
+def _decode_counters(name: str, counters, predictor) -> dict[int, int]:
+    """A predictor's listed counters: each index in range, each counter
+    one a saturating counter can hold."""
+    decoded = {}
+    for key, counter in counters.items():
+        index = _index(name, key, predictor.table_size)
+        if type(counter) is not int \
+                or not 0 <= counter <= predictor.MAX_COUNTER:
+            raise ArtifactError(
+                f"field {name}.{key} is {counter!r}, not a counter in "
+                f"0..{predictor.MAX_COUNTER}")
+        decoded[index] = counter
+    return decoded
+
+
+def _decode_core(name: str, state, core) -> tuple[tuple, dict]:
+    """Check one core's state; return its translation state (the arguments
+    of :meth:`~repro.hw.memory.Mmu.restore_translation`) and the state
+    :meth:`~repro.hw.core.Core.restore_architectural_state` installs."""
     _check_block(f"cores.{name}", state, _CORE_FIELDS)
     if state["state"] not in CoreState.__members__:
         raise ArtifactError(
             f"field cores.{name}.state is {state['state']!r}")
     _check_array(f"cores.{name}.registers", state["registers"], int,
                  len(core.registers))
-    _check_array(f"cores.{name}.branch_predictor", state["branch_predictor"],
-                 int, core.caches.branch_predictor.table_size)
+    tlb = core.caches.tlb
+    if len(state["tlb"]) > tlb.capacity:
+        raise ArtifactError(f"field cores.{name}.tlb holds more than "
+                            f"{tlb.capacity} entries")
     for index, pair in enumerate(state["tlb"]):
         _check_tuple(f"cores.{name}.tlb[{index}]", pair, "[vpn, ppn]", _PAIR)
+    if len({vpn for vpn, _ in state["tlb"]}) != len(state["tlb"]):
+        raise ArtifactError(f"field cores.{name}.tlb repeats a vpn")
     private = {cache.name: cache for cache in core.caches.private}
-    _known("cache", state["private_caches"], private)
-    for cache, lines in state["private_caches"].items():
-        _check_array(f"cores.{name}.private_caches.{cache}", lines, list,
-                     private[cache].num_sets)
+    _named("cache", state["private_caches"], private)
+    counters = _decode_counters(f"cores.{name}.branch_predictor",
+                                state["branch_predictor"],
+                                core.caches.branch_predictor)
+    caches = {cache: _decode_sets(f"cores.{name}.private_caches.{cache}",
+                                  sets, private[cache])
+              for cache, sets in state["private_caches"].items()}
     mmu = state["mmu"]
     regions = []
     for region in ("exec_region", "weight_region"):
@@ -249,7 +325,8 @@ def _decode_core(name: str, state, core) -> tuple:
         Mmu(f"{name}.mmu").restore_translation(*translation)
     except (MemoryFault, ValueError) as exc:
         raise CheckpointError(f"cores.{name}.mmu: {exc}") from None
-    return translation
+    return translation, {**state, "branch_predictor": counters,
+                         "private_caches": caches}
 
 
 def _check_lapic(name: str, state) -> None:
@@ -265,13 +342,13 @@ def _check_lapic(name: str, state) -> None:
         _check_array(f"lapics.{name}.recent.{source}", times, int)
 
 
-def _check_image(machine: Machine, checkpoint) -> tuple[dict, dict]:
+def _check_image(machine: Machine, checkpoint) -> tuple[dict, dict, dict]:
     """Check the whole checkpoint against ``machine`` without touching it.
 
-    Returns the decoded bank images and each core's translation state.
-    Raises
-    :class:`CheckpointError`, or :class:`ArtifactError` for a field of the
-    wrong shape."""
+    Returns the decoded image: each bank's listed words, each core's
+    translation and architectural state, and each shared cache's listed
+    sets.  Raises :class:`CheckpointError`, or :class:`ArtifactError` for
+    a field of the wrong shape."""
     if type(checkpoint) is not dict:
         raise CheckpointError(
             f"checkpoint is {json_name(checkpoint)}, not an object")
@@ -297,31 +374,31 @@ def _check_image(machine: Machine, checkpoint) -> tuple[dict, dict]:
     cores = {core.name: core
              for core in machine.model_cores + machine.hv_cores}
     shared = {cache.name: cache for cache in machine.shared_caches}
-    _known("bank", checkpoint["banks"], machine.banks)
-    _known("allocator", checkpoint["allocators"], machine.allocators)
-    _known("core", checkpoint["cores"], cores)
-    _known("LAPIC", checkpoint["lapics"], machine.lapics)
-    _known("shared cache", checkpoint["shared_caches"], shared)
-    images = {name: _decode_words(name, block, machine.banks[name].size)
-              for name, block in checkpoint["banks"].items()}
+    _named("bank", checkpoint["banks"], machine.banks)
+    _named("allocator", checkpoint["allocators"], machine.allocators)
+    _named("core", checkpoint["cores"], cores)
+    _named("LAPIC", checkpoint["lapics"], machine.lapics)
+    _named("shared cache", checkpoint["shared_caches"], shared)
+    banks = {name: _decode_words(name, block, machine.banks[name].size)
+             for name, block in checkpoint["banks"].items()}
     for name, frames in checkpoint["allocators"].items():
         if type(frames) is not int \
                 or not 0 <= frames <= machine.banks[name].num_frames:
             raise ArtifactError(
                 f"field allocators.{name} is {frames!r}, not a frame count "
                 f"of its bank")
-    translations = {name: _decode_core(name, state, cores[name])
-                    for name, state in checkpoint["cores"].items()}
+    core_states = {name: _decode_core(name, state, cores[name])
+                   for name, state in checkpoint["cores"].items()}
     for name, state in checkpoint["lapics"].items():
         _check_lapic(name, state)
-    for name, lines in checkpoint["shared_caches"].items():
-        _check_array(f"shared_caches.{name}", lines, list,
-                     shared[name].num_sets)
-    return images, translations
+    shared_sets = {name: _decode_sets(f"shared_caches.{name}", sets,
+                                      shared[name])
+                   for name, sets in checkpoint["shared_caches"].items()}
+    return banks, core_states, shared_sets
 
 
 def restore_checkpoint(machine: Machine, checkpoint: dict[str, Any]) -> None:
-    """Install a checkpoint image onto ``machine``.
+    """Install a checkpoint image onto ``machine``, over power-on contents.
 
     The destination must have identical geometry and must not be ahead of
     the checkpoint in virtual time (fleet members share a clock; a fresh
@@ -332,15 +409,16 @@ def restore_checkpoint(machine: Machine, checkpoint: dict[str, Any]) -> None:
     one raises :class:`CheckpointError` before the machine is touched.
     """
     try:
-        images, translations = _check_image(machine, checkpoint)
+        banks, core_states, shared_sets = _check_image(machine, checkpoint)
     except ArtifactError as exc:
         raise CheckpointError(str(exc)) from exc
 
-    for name, image in images.items():
-        # load_words drops decoded instructions and superblock traces over
-        # the whole bank — exactly the Python-cost caches a migrated image
-        # must not inherit from the destination's previous life.
-        machine.banks[name].load_words(0, image)
+    for name, words in banks.items():
+        # Zero, then apply: an unlisted word reads 0 whatever the bank held,
+        # and the decoded instructions and superblock traces over the bank
+        # — Python-cost caches a migrated image must not inherit from the
+        # destination's previous life — are dropped.
+        machine.banks[name].load_sparse(words)
     for name, frames in checkpoint["allocators"].items():
         machine.allocators[name].advance_to(frames)
 
@@ -351,12 +429,10 @@ def restore_checkpoint(machine: Machine, checkpoint: dict[str, Any]) -> None:
 
     by_name = {core.name: core
                for core in machine.model_cores + machine.hv_cores}
-    for name, state in checkpoint["cores"].items():
-        by_name[name].mmu.restore_translation(*translations[name])
+    for name, (translation, state) in core_states.items():
+        by_name[name].mmu.restore_translation(*translation)
         by_name[name].restore_architectural_state(state)
     for name, state in checkpoint["lapics"].items():
         machine.lapics[name].restore_state(state)
     for cache in machine.shared_caches:
-        lines = checkpoint["shared_caches"].get(cache.name)
-        if lines is not None:
-            cache.restore_lines(lines)
+        cache.restore_lines(shared_sets[cache.name])

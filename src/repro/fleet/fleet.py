@@ -13,7 +13,7 @@ the fault layer act on the real control plane, deterministically.
 Three fleet-level mechanisms live here:
 
 * **Checkpoint/restore migration** (:meth:`Fleet.migrate_guest`): the
-  source machine's image is captured as a ``repro.fleet/1`` artifact,
+  source machine's image is captured as a ``repro.fleet/2`` artifact,
   the source instance is stopped *before* the restore (a guest is never
   live twice), and the image is installed on a vacant member.
 

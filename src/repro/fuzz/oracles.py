@@ -83,7 +83,6 @@ from typing import Callable, Iterable, Sequence
 from repro.analysis.taint import SourceSinkModel, analyze_taint
 from repro.errors import GuestRejected
 from repro.fuzz.gen import DATA_PAGES, IO_PAGES, SECRET_VADDR
-from repro.hw.attestation import digest_of
 from repro.hw.core import Core
 from repro.hw.isa import Op, Program
 from repro.hw.machine import (
@@ -94,7 +93,7 @@ from repro.hw.machine import (
     lease_machine,
     release_machine,
 )
-from repro.hw.memory import PAGE_SIZE
+from repro.hw.memory import PAGE_SIZE, words_digest
 
 #: Default per-run step budget; generated loops are bounded well below it.
 DEFAULT_MAX_STEPS = 600
@@ -176,6 +175,11 @@ def fuzz_baseline_config() -> MachineConfig:
         n_model_cores=1, n_hv_cores=0,
         model_dram_pages=64, hv_dram_pages=16, io_dram_pages=4,
     )
+
+
+#: The hv-bank digest of every fuzz run: the hypervisor's DRAM stays zero.
+_ZERO_HV_DIGEST = words_digest(
+    [0] * (fuzz_guillotine_config().hv_dram_pages * PAGE_SIZE))
 
 
 @dataclass(frozen=True)
@@ -376,7 +380,7 @@ def _probe_observation(machine, core, steps: int) -> ProbeObservation:
         doorbell_throttled=lapic.throttled if lapic is not None else 0,
         log_len=len(machine.log),
         log_digest=last.digest if last is not None else "",
-        io_digest=digest_of(io_bank.snapshot()),
+        io_digest=io_bank.digest(),
     )
 
 
@@ -462,12 +466,7 @@ def _capture_record(machine, machine_kind: str, engine: str, core,
                     steps: int, code_pages: int) -> ExecutionRecord:
     """Snapshot everything observable about a finished run."""
     bank = machine.banks.get("model_dram") or machine.banks["shared_dram"]
-    code_words = bank.snapshot(0, code_pages * PAGE_SIZE)
-    data_words = bank.snapshot(
-        code_pages * PAGE_SIZE, DATA_PAGES * PAGE_SIZE
-    )
     hv_bank = machine.banks.get("hv_dram")
-    hv_digest = digest_of(hv_bank.snapshot()) if hv_bank is not None else None
     last = machine.log.last()
     lapic = machine.lapics.get("hv_core0")
     return ExecutionRecord(
@@ -484,9 +483,10 @@ def _capture_record(machine, machine_kind: str, engine: str, core,
         timer_fires=core.timer_fires,
         mmu_locked=core.mmu.locked,
         exec_vpns=tuple(sorted(core.mmu.executable_vpns())),
-        code_digest=digest_of(code_words),
-        data_digest=digest_of(data_words),
-        hv_digest=hv_digest,
+        code_digest=bank.digest(0, code_pages * PAGE_SIZE),
+        data_digest=bank.digest(code_pages * PAGE_SIZE,
+                                DATA_PAGES * PAGE_SIZE),
+        hv_digest=hv_bank.digest() if hv_bank is not None else None,
         log_len=len(machine.log),
         log_digest=last.digest if last is not None else "",
         doorbell_accepted=lapic.accepted if lapic is not None else 0,
@@ -661,16 +661,15 @@ def check_program(
     if fast.exec_vpns != (0,):
         verdict_deltas.append(("exec_vpns", "(0,)", repr(fast.exec_vpns)))
     if expected_code_digest is None:
-        padded = list(words) + [0] * (PAGE_SIZE - len(words))
-        expected_code_digest = digest_of(padded)
+        expected_code_digest = words_digest(
+            list(words) + [0] * (PAGE_SIZE - len(words)))
     if fast.code_digest != expected_code_digest:
         verdict_deltas.append(
             ("code_digest", expected_code_digest, fast.code_digest)
         )
-    zero_hv = digest_of([0] * (fuzz_guillotine_config().hv_dram_pages
-                               * PAGE_SIZE))
-    if fast.hv_digest != zero_hv:
-        verdict_deltas.append(("hv_digest", zero_hv, str(fast.hv_digest)))
+    if fast.hv_digest != _ZERO_HV_DIGEST:
+        verdict_deltas.append(
+            ("hv_digest", _ZERO_HV_DIGEST, str(fast.hv_digest)))
     admitted: bool | None = None
     if admission:
         admitted = _check_admission(words)

@@ -237,6 +237,11 @@ class LockstepBatch:
 
         self.stats.engaged_lanes = len(eligible)
         self._vector_loop()
+        # The compiled step and block closures capture ``self``; dropping
+        # them breaks that cycle, so the batch and its lane arrays are
+        # freed as soon as the caller lets go, not at the next cyclic GC.
+        for closures in (self._fast, self._fast2, self._seq_body):
+            closures.clear()
 
         # Finish every engaged lane on the scalar engine for whatever
         # budget remains (peeled faults, event-horizon ops, parked lanes
@@ -474,7 +479,7 @@ class LockstepBatch:
             misses = np.zeros(a, dtype=np.int64)
             for lane in range(a):
                 cache = slot.objects[lane]
-                for set_index, lru in enumerate(cache._sets):
+                for set_index, lru in cache.lines_snapshot().items():
                     # front = MRU: give it the largest stamp in the set.
                     for pos, tag in enumerate(lru):
                         tags[lane, set_index, pos] = tag
@@ -808,14 +813,17 @@ class LockstepBatch:
                 cache = slot.objects[position]
                 row_sets = cache_sets[index][row]
                 row_counts = cache_counts[index][row]
-                cache.restore_lines(
-                    [tags[:count]
-                     for tags, count in zip(row_sets, row_counts)])
+                cache.restore_lines({
+                    set_index: tags[:count]
+                    for set_index, (tags, count)
+                    in enumerate(zip(row_sets, row_counts)) if count})
                 cache.stats.hits = cache_hits[index][row]
                 cache.stats.misses = cache_misses[index][row]
 
             predictor = core.caches.branch_predictor
-            predictor.restore_counters(bp_rows[row])
+            predictor.restore_counters({
+                index: counter for index, counter in enumerate(bp_rows[row])
+                if counter != predictor.RESET_COUNTER})
             predictor.predictions = bp_pred[row]
             predictor.mispredictions = bp_mis[row]
 

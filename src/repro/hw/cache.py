@@ -20,6 +20,7 @@ Determinism matters: the side-channel experiments must reproduce bit-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 
 @dataclass
@@ -99,8 +100,13 @@ class Cache:
         return self._tag(address) in self._sets[self.set_index(address)]
 
     def flush(self) -> None:
-        """Invalidate every line (the control bus's microarch-clear verb)."""
-        self._sets = [[] for _ in range(self.num_sets)]
+        """Invalidate every line (the control bus's microarch-clear verb).
+
+        Only the non-empty sets are visited (found by ``compress`` in C),
+        so a flush costs the lines in use, not the cache's size."""
+        sets = self._sets
+        for index in compress(range(self.num_sets), sets):
+            sets[index] = []
 
     def occupancy(self) -> int:
         """Total number of valid lines currently cached."""
@@ -109,17 +115,22 @@ class Cache:
     # -- checkpoint/restore (fleet migration) --------------------------------
     # Cache contents are *timing-architectural*: a migrated guest must see
     # the same hit/miss sequence as an uninterrupted one, so the tag arrays
-    # (and their LRU order) ride along in checkpoints.
+    # (and their LRU order) ride along in checkpoints.  The snapshot holds
+    # the non-empty sets only; a set it does not list is empty, as after a
+    # flush.
 
-    def lines_snapshot(self) -> list[list[int]]:
-        return [list(s) for s in self._sets]
+    def lines_snapshot(self) -> dict[int, list[int]]:
+        """Set index -> tags in LRU order (most recent first), for every
+        non-empty set."""
+        sets = self._sets
+        return {index: list(sets[index])
+                for index in compress(range(self.num_sets), sets)}
 
-    def restore_lines(self, sets: list[list[int]]) -> None:
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"{self.name}: snapshot has {len(sets)} sets, "
-                f"cache has {self.num_sets}")
-        self._sets = [list(s) for s in sets]
+    def restore_lines(self, sets: dict[int, list[int]]) -> None:
+        """Flush, then install a :meth:`lines_snapshot`."""
+        self.flush()
+        for index, tags in sets.items():
+            self._sets[index] = list(tags)
 
 
 class Tlb:
@@ -214,11 +225,15 @@ class BranchPredictor:
     """
 
     TAKEN_THRESHOLD = 2
+    #: Power-on value of every counter: weakly not-taken.
+    RESET_COUNTER = 1
+    #: Saturation bound of a 2-bit counter.
+    MAX_COUNTER = 3
 
     def __init__(self, table_size: int = 256, mispredict_penalty: int = 6) -> None:
         self.table_size = table_size
         self.mispredict_penalty = mispredict_penalty
-        self._counters = [1] * table_size  # weakly not-taken
+        self._counters = [self.RESET_COUNTER] * table_size
         self.predictions = 0
         self.mispredictions = 0
 
@@ -245,19 +260,26 @@ class BranchPredictor:
 
     def flush(self) -> None:
         """Reset all counters to the weakly-not-taken power-on state."""
-        self._counters = [1] * self.table_size
+        self._counters = [self.RESET_COUNTER] * self.table_size
 
     # -- checkpoint/restore (fleet migration) --------------------------------
     # Counter state decides future mispredict penalties, so it is
-    # timing-architectural and migrates with the guest.
+    # timing-architectural and migrates with the guest.  The snapshot holds
+    # only the counters that left their power-on value.
 
-    def counters_snapshot(self) -> list[int]:
-        return list(self._counters)
+    def counters_snapshot(self) -> dict[int, int]:
+        """Index -> counter, for every counter that is not
+        :data:`RESET_COUNTER`."""
+        counters = self._counters
+        moved = map(self.RESET_COUNTER.__ne__, counters)
+        return {index: counters[index]
+                for index in compress(range(self.table_size), moved)}
 
-    def restore_counters(self, counters: list[int]) -> None:
-        if len(counters) != self.table_size:
-            raise ValueError("predictor snapshot size mismatch")
-        self._counters = [int(c) for c in counters]
+    def restore_counters(self, counters: dict[int, int]) -> None:
+        """Reset, then install a :meth:`counters_snapshot`."""
+        self.flush()
+        for index, counter in counters.items():
+            self._counters[index] = counter
 
     def state_entropy_proxy(self) -> int:
         """Sum of counter distances from the reset value.

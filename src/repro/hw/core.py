@@ -326,11 +326,13 @@ class Core:
         """Everything a migrated guest's core must carry to keep executing
         cycle-identically on another machine: the architectural register
         state, exception/timer machinery, retirement counters, and the
-        timing-architectural microarch contents (TLB, private caches,
-        branch predictor).  The timer deadline is stored *relative* to the
-        current virtual time so restore works at any absolute clock value.
-        Python-level accelerators (decoded cache, superblock traces) are
-        deliberately absent — they re-warm without cycle effects."""
+        timing-architectural microarch contents (TLB, and the sparse
+        snapshots of the private caches and branch predictor: non-empty
+        sets, counters off their reset value).  The timer deadline is
+        stored *relative* to the current virtual time so restore works at
+        any absolute clock value.  Python-level accelerators (decoded
+        cache, superblock traces) are deliberately absent — they re-warm
+        without cycle effects."""
         return {
             "registers": list(self.registers),
             "pc": self.pc,
@@ -357,9 +359,11 @@ class Core:
         """Install a :meth:`capture_architectural_state` snapshot.
 
         The MMU and DRAM banks must already hold the checkpointed image;
-        this call only rebuilds core-local state.  Decoded-instruction and
-        trace caches are dropped (stale physical indices), which is purely
-        a Python-cost event."""
+        this call only rebuilds core-local state.  The predictor and each
+        named cache are reset before their snapshot goes in, so an entry
+        the snapshot omits is at its power-on value.  Decoded-instruction
+        and trace caches are dropped (stale physical indices), which is
+        purely a Python-cost event."""
         self.registers = [int(v) & _WORD_MASK for v in state["registers"]]
         self.pc = int(state["pc"])
         self.state = CoreState[state["state"]]
@@ -1031,6 +1035,12 @@ class Core:
         # For second-level cores the cached generation is the combined
         # (mmu, ept) pair (see _translate) — both must still be current.
         ept = self.second_level_source if self.second_level else None
+        # Heat is counted only at block heads: where control arrived by a
+        # jump, a branch, a trace exit or run entry.  ``follow`` is the pc
+        # the previous single step falls through to; arriving there is the
+        # middle of a block, and counting it would compile a suffix
+        # superblock for every pc of a hot loop body.
+        follow = -1
         while steps < max_steps:
             state = self.state
             if state is not running:
@@ -1044,35 +1054,39 @@ class Core:
             if self._timer_deadline is not None or self._watchpoints:
                 # Timers fire and watchpoints trigger at instruction
                 # boundaries; keep instruction granularity.
+                follow = self.pc + 1
                 step()
                 steps += 1
                 continue
             pc = self.pc
             trace = vtraces.get(pc)
             if trace is None:
-                count = heat.get(pc, 0) + 1
-                if count >= TRACE_HEAT_THRESHOLD:
-                    compiled = compile_trace(self, pc)
-                    if compiled is not None:
-                        if len(vtraces) >= VTRACE_CAP:
-                            # Drop this core's oldest handle; the bank
-                            # registration is bounded separately.
-                            del vtraces[next(iter(vtraces))]
-                        vtraces[pc] = compiled
-                        heat.pop(pc, None)
+                if pc != follow:
+                    count = heat.get(pc, 0) + 1
+                    if count >= TRACE_HEAT_THRESHOLD:
+                        compiled = compile_trace(self, pc)
+                        if compiled is not None:
+                            if len(vtraces) >= VTRACE_CAP:
+                                # Drop this core's oldest handle; the bank
+                                # registration is bounded separately.
+                                del vtraces[next(iter(vtraces))]
+                            vtraces[pc] = compiled
+                            heat.pop(pc, None)
+                        else:
+                            # Uncompilable here (op mix, faulted bank, ...):
+                            # back off before probing again, so self-modifying
+                            # or transiently-faulted code retries at bounded
+                            # cost once conditions change.
+                            heat[pc] = -TRACE_RETRY_BACKOFF
                     else:
-                        # Uncompilable here (op mix, faulted bank, ...):
-                        # back off before probing again, so self-modifying
-                        # or transiently-faulted code retries at bounded
-                        # cost once conditions change.
-                        heat[pc] = -TRACE_RETRY_BACKOFF
-                else:
-                    if len(heat) >= TRACE_HEAT_LIMIT:
-                        heat.clear()
-                    heat[pc] = count
+                        if len(heat) >= TRACE_HEAT_LIMIT:
+                            heat.clear()
+                        heat[pc] = count
+                follow = pc + 1
                 step()
                 steps += 1
                 continue
+            follow = pc + 1  # unless the trace runs
             if not trace.alive:
                 # Invalidated underneath us (store, reload, fault, flush).
                 del vtraces[pc]
@@ -1124,6 +1138,7 @@ class Core:
             entries[trace.vpn] = entry
             self.trace_hits += 1
             steps += trace.fn(self, trace, budget)
+            follow = -1
         return steps
 
     def _reg(self, index: int) -> int:

@@ -19,7 +19,6 @@ the co-tenancy that makes prime+probe side channels work (experiment E2).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -400,10 +399,8 @@ def machine_fingerprint(machine: Machine) -> dict:
         }
     banks = {}
     for name, bank in machine.banks.items():
-        digest = hashlib.sha256(
-            repr(bank.snapshot()).encode()).hexdigest()
         banks[name] = {
-            "digest": digest,
+            "digest": bank.digest(),
             "write_count": bank.write_count,
             "decoded_entries": len(bank.decoded),
             "decoded_evictions": bank.decoded_evictions,

@@ -20,7 +20,9 @@ Two properties from section 3.2 of the paper live here:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.errors import LockdownViolation, MachineCheck, MemoryFault
 
@@ -29,6 +31,36 @@ PAGE_SIZE = 64
 
 #: All stored words are 64-bit.
 WORD_MASK = (1 << 64) - 1
+
+#: What one all-zero page contributes to the JSON text :func:`words_digest`
+#: hashes.
+_ZERO_PAGE_JSON = ", ".join(["0"] * PAGE_SIZE).encode()
+
+
+def words_digest(words: list[int], start: int = 0,
+                 end: int | None = None) -> str:
+    """``digest_of(words[start:end])`` for a list of ints: the SHA-256 of
+    the JSON array text ``"[w0, w1, ...]"``
+    (:func:`repro.hw.attestation.digest_of`), without building that text
+    for the all-zero pages.
+
+    The range is walked a page at a time (pages counted from index 0); a
+    whole page of zeros contributes a constant fragment, so the Python
+    cost follows the non-zero pages.  ``count(0)`` tests a page in C,
+    comparing by identity first, several times faster than ``any()``."""
+    if end is None:
+        end = len(words)
+    parts = []
+    low = start
+    while low < end:
+        high = min(end, low - low % PAGE_SIZE + PAGE_SIZE)
+        chunk = words[low:high]
+        if chunk.count(0) == PAGE_SIZE:
+            parts.append(_ZERO_PAGE_JSON)
+        else:
+            parts.append(", ".join(map(str, chunk)).encode())
+        low = high
+    return hashlib.sha256(b"[" + b", ".join(parts) + b"]").hexdigest()
 
 
 class Dram:
@@ -337,6 +369,49 @@ class Dram:
         # decoded instruction for the bank rather than tracking the range.
         self.decoded.clear()
         self.invalidate_all_traces()
+
+    def load_sparse(self, words: dict[int, int]) -> None:
+        """Replace the whole bank with ``words`` (address -> word); every
+        address not listed reads 0.
+
+        Exactly ``load_words(0, image)`` of the full image (soft errors
+        cleared, stuck-at cells re-asserted, one write generation, decoded
+        cache and traces dropped) at the cost of the listed words."""
+        image = [0] * self.size
+        for address, word in words.items():
+            if not 0 <= address < self.size:
+                raise MemoryFault(f"bulk load outside {self.name}", address)
+            image[address] = word & WORD_MASK
+        for address, (and_mask, or_mask) in self._stuck.items():
+            image[address] = (image[address] & and_mask) | or_mask
+        self._words = image
+        self._corrupt.clear()
+        self.write_count += 1
+        self.decoded.clear()
+        self.invalidate_all_traces()
+
+    def nonzero_words(self) -> list[tuple[int, int]]:
+        """``(address, word)`` for every non-zero word, ascending.
+
+        Each page is tested whole in C (``count(0)``), and only the pages
+        holding a non-zero word are walked word by word."""
+        words = self._words
+        found: list[tuple[int, int]] = []
+        for base in range(0, self.size, PAGE_SIZE):
+            page = words[base:base + PAGE_SIZE]
+            if page.count(0) != PAGE_SIZE:
+                found += zip(compress(range(base, base + PAGE_SIZE), page),
+                             filter(None, page))
+        return found
+
+    def digest(self, start: int = 0, length: int | None = None) -> str:
+        """``digest_of(self.snapshot(start, length))``, hashing all-zero
+        pages from a constant (:func:`words_digest`)."""
+        if length is None:
+            length = self.size - start
+        if start < 0 or start + length > self.size:
+            raise MemoryFault(f"digest outside {self.name}", start)
+        return words_digest(self._words, start, start + length)
 
     def scrub(self) -> None:
         """Zero the bank and every derived cache/counter (machine reuse).

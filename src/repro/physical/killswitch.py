@@ -110,7 +110,7 @@ class KillSwitchBank:
         self._plant.destroy(method)
         # Model weights and all DRAM contents cease to exist.
         for bank in self._machine.banks.values():
-            bank.load_words(0, [0] * bank.size)
+            bank.load_sparse({})
         for device in self._machine.devices.values():
             if device.device_type == "nic":
                 device.detach_network()

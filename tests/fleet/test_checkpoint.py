@@ -246,6 +246,7 @@ def _first_word(value=None, address=None):
 
 _CORE = ("cores", "model_core0")
 _TABLE = (*_CORE, "mmu", "table")
+_PRIVATE = (*_CORE, "private_caches")
 
 
 def _ghost(section: str, template: str):
@@ -283,14 +284,44 @@ MALFORMED = {
     "core-state-unknown": _set(*_CORE, "state", value="SPINNING"),
     "core-registers-short": _set(*_CORE, "registers", value=[0, 1]),
     "core-predictor-not-numbers": _set(*_CORE, "branch_predictor",
-                                       value=["1"] * 256),
+                                       value={"0": "1"}),
     "core-tlb-entry-not-a-pair": _set(*_CORE, "tlb", value=[[1]]),
-    "core-unknown-private-cache": _set(*_CORE, "private_caches",
-                                       value={"ghost.l1d": []}),
+    "core-unknown-private-cache": _set(*_PRIVATE, "ghost.l1d", value={}),
+    # A set past the cache's 256.
     "cache-lines-wrong-count": _set("shared_caches", "model.l2",
-                                    value=[[]]),
+                                    value={"256": [1]}),
     "lapic-pending-malformed": _set("lapics", "hv_core0", "pending",
                                     value=[[1, 2]]),
+    # Hardware that cannot exist.
+    "tlb-over-capacity": _set(*_CORE, "tlb",
+                              value=[[vpn, vpn] for vpn in range(40)]),
+    "tlb-repeated-vpn": _set(*_CORE, "tlb", value=[[1, 1], [1, 2]]),
+    "cache-set-over-ways": _set("shared_caches", "model.l2",
+                                value={"0": list(range(50))}),
+    "cache-tag-not-a-number": _set("shared_caches", "model.l2",
+                                   value={"0": ["x"]}),
+    "cache-tags-repeated": _set(*_PRIVATE, "model_core0.l1d",
+                                value={"3": [5, 5]}),
+    "cache-tag-negative": _set(*_PRIVATE, "model_core0.l1i",
+                               value={"3": [-1]}),
+    "cache-set-index-not-a-number": _set("shared_caches", "hv.l2",
+                                         value={"-1": [1]}),
+    "private-cache-set-index-out-of-range": _set(
+        *_PRIVATE, "model_core0.l1d", value={"64": [1]}),
+    "core-predictor-counter-too-high": _set(*_CORE, "branch_predictor",
+                                            value={"0": 100}),
+    "core-predictor-counter-negative": _set(*_CORE, "branch_predictor",
+                                            value={"0": -5}),
+    "core-predictor-index-out-of-range": _set(*_CORE, "branch_predictor",
+                                              value={"256": 2}),
+    "word-wider-than-64-bits": _first_word(value="0x1" + "0" * 16),
+    # Restore writes every structure of the destination.
+    "bank-missing": _delete("banks", "io_dram"),
+    "core-missing": _delete("cores", "hv_core0"),
+    "private-cache-missing": _delete(*_PRIVATE, "model_core0.l1i"),
+    "shared-cache-missing": _delete("shared_caches", "hv.l2"),
+    "lapic-missing": _delete("lapics", "hv_core0"),
+    "allocator-missing": _delete("allocators", "io_dram"),
 }
 
 
@@ -321,3 +352,89 @@ class TestMalformedImages:
         target = _machine(True, True)
         restore_checkpoint(target, json.loads(json.dumps(image)))
         assert target.clock.now == image["clock_now"]
+
+    def test_the_dense_format_of_the_previous_schema_is_rejected(self, image):
+        old = json.loads(json.dumps(image))
+        old["schema"] = "repro.fleet/1"
+        old["shared_caches"]["model.l2"] = [[] for _ in range(256)]
+        target = _machine(True, True)
+        with pytest.raises(CheckpointError, match="repro.fleet/2"):
+            restore_checkpoint(target, old)
+
+
+class TestSparseImage:
+    """The image lists what differs from power-on, and restore writes it
+    over power-on contents whatever the destination held."""
+
+    def _image(self):
+        source = _machine(True, True)
+        _boot(source).run(max_steps=SPLIT)
+        return json.loads(json.dumps(capture_checkpoint(source)))
+
+    def test_a_scrubbed_machine_has_an_empty_image(self):
+        machine = _machine(True, True)
+        _boot(machine).run(max_steps=SPLIT)
+        machine.scrub()
+        image = capture_checkpoint(machine)
+        assert all(not block["words_hex"]
+                   for block in image["banks"].values())
+        for state in image["cores"].values():
+            assert state["branch_predictor"] == {}
+            assert all(sets == {}
+                       for sets in state["private_caches"].values())
+        assert all(sets == {} for sets in image["shared_caches"].values())
+
+    def test_a_run_lists_only_touched_sets_and_moved_counters(self):
+        image = self._image()
+        core = image["cores"]["model_core0"]
+        assert core["branch_predictor"]
+        assert all(counter != 1
+                   for counter in core["branch_predictor"].values())
+        l1d = core["private_caches"]["model_core0.l1d"]
+        assert l1d and all(l1d.values())
+        assert len(l1d) < 64
+
+    def test_restore_over_a_dirty_destination_equals_one_onto_a_fresh(self):
+        image = self._image()
+        fresh = _machine(True, True)
+        restore_checkpoint(fresh, image)
+
+        dirty = _machine(True, True)
+        pristine = machine_fingerprint(dirty)
+        # A previous tenant's leftovers, without advancing the clock or
+        # touching a counter: flipped DRAM bits in every bank, a full tag
+        # array in every cache, every predictor counter strongly taken.
+        for bank in dirty.banks.values():
+            for address in range(0, bank.size, 97):
+                bank.inject_bit_flip(address, 3)
+        for core in dirty.model_cores + dirty.hv_cores:
+            for cache in core.caches.private:
+                cache.restore_lines({index: [index + 1000]
+                                     for index in range(cache.num_sets)})
+            predictor = core.caches.branch_predictor
+            predictor.restore_counters(
+                dict.fromkeys(range(predictor.table_size), 3))
+        for cache in dirty.shared_caches:
+            cache.restore_lines({index: list(range(cache.ways))
+                                 for index in range(cache.num_sets)})
+        assert machine_fingerprint(dirty) != pristine
+
+        restore_checkpoint(dirty, image)
+        assert machine_fingerprint(dirty) == machine_fingerprint(fresh)
+
+    def test_restore_reasserts_a_stuck_bit_and_clears_a_flip(self):
+        image = self._image()
+        target = _machine(True, True)
+        bank = target.banks["model_dram"]
+        stuck = 3 * 64 + 5    # a data word the image lists as zero
+        assert str(stuck) not in image["banks"]["model_dram"]["words_hex"]
+        bank.inject_stuck_bit(stuck, 9, value=1)
+        bank.inject_bit_flip(200, 2)
+        writes = bank.write_count
+        restore_checkpoint(target, image)
+        assert bank.snapshot(stuck, 1) == [1 << 9]
+        assert bank.snapshot(200, 1) == [
+            int(image["banks"]["model_dram"]["words_hex"].get(
+                "200", "0x0"), 16)]
+        assert bank._corrupt == {}
+        assert bank.write_count == writes + 1

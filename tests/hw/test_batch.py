@@ -72,10 +72,9 @@ def _deep_state(machine, core) -> dict:
         "tlb_stats": (core.caches.tlb.stats.hits,
                       core.caches.tlb.stats.misses),
         "caches": tuple(
-            (tuple(tuple(s) for s in c.lines_snapshot()),
-             c.stats.hits, c.stats.misses)
+            (c.lines_snapshot(), c.stats.hits, c.stats.misses)
             for c in core.caches.icache_levels + core.caches.dcache_levels),
-        "bp": tuple(core.caches.branch_predictor.counters_snapshot()),
+        "bp": core.caches.branch_predictor.counters_snapshot(),
         "bp_stats": (core.caches.branch_predictor.predictions,
                      core.caches.branch_predictor.mispredictions),
         "dram": tuple(bank.snapshot()),

@@ -50,6 +50,22 @@ class TestCache:
         assert cache.occupancy() == 0
         assert cache.access(0) == cache.miss_latency
 
+    def test_snapshot_lists_non_empty_sets_most_recent_first(self):
+        cache = Cache("c", num_sets=4, ways=2, line_size=1)
+        for address in (1, 5, 9, 2):   # set 1 sees tags 0, 1, 2
+            cache.access(address)
+        assert cache.lines_snapshot() == {1: [2, 1], 2: [0]}
+
+    def test_restore_replaces_whatever_the_cache_held(self):
+        source = Cache("c", num_sets=4, ways=2, line_size=1)
+        source.access(6)
+        target = Cache("c", num_sets=4, ways=2, line_size=1)
+        for address in range(8):
+            target.access(address)
+        target.restore_lines(source.lines_snapshot())
+        assert target.lines_snapshot() == {2: [1]}
+        assert target.probe(6) and not target.probe(0)
+
     def test_stats_track_hits_and_misses(self):
         cache = Cache("c")
         cache.access(0)
@@ -171,6 +187,22 @@ class TestBranchPredictor:
         assert predictor.state_entropy_proxy() > 0
         predictor.flush()
         assert predictor.state_entropy_proxy() == 0
+
+    def test_snapshot_lists_counters_off_their_reset_value(self):
+        predictor = BranchPredictor(table_size=8)
+        predictor.update(3, True)
+        predictor.update(5, False)
+        predictor.update(6, True)
+        predictor.update(6, False)    # back to the reset value
+        assert predictor.counters_snapshot() == {3: 2, 5: 0}
+
+    def test_restore_resets_unlisted_counters(self):
+        predictor = BranchPredictor(table_size=8)
+        for pc in range(8):
+            predictor.update(pc, True)
+        predictor.restore_counters({4: 3})
+        assert predictor.counters_snapshot() == {4: 3}
+        assert predictor.state_entropy_proxy() == 2
 
     def test_stats_count(self):
         predictor = BranchPredictor()

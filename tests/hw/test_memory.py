@@ -1,9 +1,20 @@
 """Unit tests for DRAM, page tables, and the MMU lockdown rules."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import LockdownViolation, MemoryFault
-from repro.hw.memory import Dram, Mmu, PAGE_SIZE, PageTableEntry
+from repro.hw.attestation import digest_of
+from repro.hw.memory import (
+    PAGE_SIZE,
+    WORD_MASK,
+    Dram,
+    Mmu,
+    PageTableEntry,
+    words_digest,
+)
 
 
 class TestDram:
@@ -352,3 +363,84 @@ class TestDramRanges:
         assert batched.read_range(0, batched.size) == \
             looped.read_range(0, looped.size)
         assert batched.write_count == looped.write_count
+
+
+#: A page of each kind a guest leaves behind, for the sparse-image paths.
+_PAGES = st.one_of(
+    st.just([0] * PAGE_SIZE),
+    st.dictionaries(st.integers(0, PAGE_SIZE - 1),
+                    st.sampled_from([1, 7, WORD_MASK]), max_size=4).map(
+        lambda words: [words.get(offset, 0) for offset in range(PAGE_SIZE)]),
+    st.lists(st.integers(0, WORD_MASK), min_size=PAGE_SIZE,
+             max_size=PAGE_SIZE),
+)
+
+
+def _trace(start: int, length: int):
+    return SimpleNamespace(start=start, length=length, alive=True)
+
+
+class TestSparseImage:
+    """``nonzero_words``, ``load_sparse`` and ``digest`` against their
+    whole-bank definitions (a full ``snapshot``/``load_words``)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pages=st.lists(_PAGES, min_size=1, max_size=4), data=st.data())
+    def test_digest_and_nonzero_words_match_the_snapshot(self, pages, data):
+        words = [word for page in pages for word in page]
+        bank = Dram("test", len(words))
+        bank.load_words(0, words)
+        start = data.draw(st.integers(0, len(words)))
+        length = data.draw(st.integers(0, len(words) - start))
+        assert bank.digest(start, length) == digest_of(
+            words[start:start + length])
+        assert bank.digest(start, length) == digest_of(
+            bank.snapshot(start, length))
+        assert bank.digest() == digest_of(words)
+        assert words_digest(words, start, start + length) == digest_of(
+            words[start:start + length])
+        assert bank.nonzero_words() == [
+            (address, word) for address, word in enumerate(words) if word]
+
+    def test_digest_is_bounds_checked(self):
+        bank = Dram("test", PAGE_SIZE)
+        with pytest.raises(MemoryFault):
+            bank.digest(1, PAGE_SIZE)
+
+    def _faulted(self):
+        bank = Dram("test", 4 * PAGE_SIZE)
+        bank.write(3, 0xFF)
+        bank.inject_stuck_bit(3, 0, value=0)
+        bank.inject_stuck_bit(70, 5, value=1)
+        bank.inject_bit_flip(130, 7)
+        bank.cache_decoded(3, object())
+        bank.register_trace(_trace(0, 8))
+        return bank
+
+    def test_sparse_load_is_a_full_load(self):
+        image = {3: 0xF1, 131: WORD_MASK, 255: 1 << 70}
+        sparse, full = self._faulted(), self._faulted()
+        writes = sparse.write_count
+        trace = next(iter(sparse._traces.values()))
+        sparse.load_sparse(image)
+        full.load_words(0, [image.get(address, 0)
+                            for address in range(full.size)])
+        assert sparse.snapshot() == full.snapshot()
+        assert sparse.snapshot(3, 1) == [0xF0]       # stuck-at-0 re-asserted
+        assert sparse.snapshot(70, 1) == [1 << 5]    # stuck-at-1 re-asserted
+        assert sparse.snapshot(130, 1) == [0]        # the flip is gone
+        assert sparse.snapshot(255, 1) == [0]        # masked to 64 bits
+        assert sparse._corrupt == full._corrupt == {}
+        assert sparse._stuck == full._stuck
+        assert sparse.write_count == full.write_count == writes + 1
+        assert not sparse.decoded and not sparse._traces
+        assert not trace.alive
+
+    def test_sparse_load_out_of_range_touches_nothing(self):
+        bank = Dram("test", PAGE_SIZE)
+        bank.write(5, 9)
+        for address in (PAGE_SIZE, -1):
+            with pytest.raises(MemoryFault):
+                bank.load_sparse({0: 1, address: 2})
+        assert bank.snapshot(0, 6) == [0, 0, 0, 0, 0, 9]
+        assert bank.write_count == 1

@@ -116,14 +116,32 @@ class TestTraceFormation:
         assert core.state is CoreState.HALTED
         assert (steps, machine.clock.now) == (PINNED_STEPS, PINNED_CYCLES)
         bank = machine.banks["model_dram"]
-        # Warm-up heats both the loop head and its tail suffix past the
-        # threshold, so two superblocks compile; only the head dispatches.
-        assert bank.traces_compiled == 2
+        # Heat counts at block heads only: the back-edge makes the loop
+        # head hot, the body pcs it falls through to never are, so one
+        # superblock compiles and it dispatches.
+        assert bank.traces_compiled == 1
         assert core.trace_hits == 1  # the in-trace loop needs one dispatch
-        # Warm-up burns TRACE_HEAT_THRESHOLD single-stepped iterations
-        # (12 steps) plus 3 setup/exit steps; the fused loop covers the rest.
-        assert core.trace_steps == PINNED_STEPS - 4 * TRACE_HEAT_THRESHOLD - 3
+        # Warm-up burns TRACE_HEAT_THRESHOLD + 1 single-stepped iterations
+        # (16 steps; the first is entered by falling through from the
+        # setup, which heats nothing) plus 3 setup/exit steps; the fused
+        # loop covers the rest.
+        assert core.trace_steps == \
+            PINNED_STEPS - 4 * (TRACE_HEAT_THRESHOLD + 1) - 3
         assert core.trace_bailouts == 0
+
+    def test_hot_loop_body_compiles_exactly_one_trace(self):
+        """A long loop body compiles one superblock, at its head."""
+        body = [isa.addi(3 + i % 5, 3 + i % 5, i) for i in range(9)]
+        program = assemble([isa.movi(1, 0), isa.movi(2, 40), "loop",
+                            *body, isa.addi(1, 1, 1),
+                            isa.blt(1, 2, "loop"), isa.halt()])
+        machine, core, _ = _run(program)
+        assert core.state is CoreState.HALTED
+        bank = machine.banks["model_dram"]
+        assert bank.traces_compiled == 1
+        (trace,) = bank._traces.values()
+        assert trace.start == program.symbols["loop"]
+        assert trace.is_loop and core.trace_hits >= 1
 
     def test_cold_straight_line_code_never_compiles(self):
         program = assemble([isa.movi((i % 11) + 1, i) for i in range(20)]
@@ -285,18 +303,31 @@ class TestShortSelfLoops:
         assert core.trace_steps == 0
 
 
+#: Two hot loops one after the other: one superblock each.
+def _two_loop_program():
+    loop = [isa.addi(1, 1, 1), isa.xor(4, 1, 2), isa.add(3, 3, 4)]
+    return assemble([
+        isa.movi(1, 0), isa.movi(2, 10),
+        "first", *loop, isa.blt(1, 2, "first"),
+        isa.movi(1, 0), isa.movi(2, 10),
+        "second", *loop, isa.blt(1, 2, "second"),
+        isa.halt(),
+    ])
+
+
 class TestExactInvalidation:
     def _hot(self):
-        machine, core, _ = _run(_loop_program(10))
+        machine, core, _ = _run(_two_loop_program())
         bank = machine.banks["model_dram"]
-        assert len(bank._traces) == 2  # loop head + its tail suffix
-        trace = next(t for t in bank._traces.values() if t.is_loop)
+        assert len(bank._traces) == 2  # one per loop head
+        trace, other = bank._traces.values()
+        assert trace.is_loop and other.start > trace.start + trace.length
         return machine, core, bank, trace
 
     def test_store_inside_trace_range_kills_exactly_it(self):
         machine, core, bank, trace = self._hot()
-        # The loop head's first word is covered only by the head trace;
-        # the overlapping tail-suffix trace must survive the store.
+        # The first loop head's word is covered only by its own trace;
+        # the second loop's trace must survive the store.
         bank.write(trace.start, encode(isa.nop()))
         assert not trace.alive
         assert bank.trace_invalidations == 1
